@@ -236,8 +236,9 @@ def _serve_bench(args) -> str:
     Builds one deployment, fits a WiMi, then replays a repeated
     multi-material workload two ways: sequentially with a cold artifact
     cache per request (the one-shot, no-service status quo) and through
-    :class:`repro.serve.IdentificationService` (bounded queue ->
-    micro-batcher -> worker pool over one shared stage cache).  Prints
+    :class:`repro.serve.IdentificationService` (bounded queue -> worker
+    threads that each pull their own micro-batch, over one shared stage
+    cache).  Prints
     throughput, latency percentiles, the batch-size distribution,
     per-stage cache hit rates and the rejection/retry counters.
     """

@@ -115,7 +115,12 @@ class Envelope:
 
 @dataclass
 class Reply:
-    """A worker's resolution of one envelope."""
+    """A worker's resolution of one envelope.
+
+    ``attempts`` counts earlier deliveries plus this delivery's engine
+    runs; ``batch_size`` is the live batch the request last ran in
+    (None if it expired before reaching the engine).
+    """
 
     request_id: str
     label: str | None = None
@@ -124,7 +129,7 @@ class Reply:
     worker: str = ""
     shard: int = -1
     attempts: int = 1
-    batch_size: int = 1
+    batch_size: int | None = 1
     handle_ms: float = 0.0
 
     @property

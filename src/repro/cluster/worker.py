@@ -9,14 +9,13 @@ arguments pickle across the process boundary).  Life of a worker:
    store -- workers never share a disk tier, so there is no cross-shard
    write contention and a restarted worker finds exactly its shard's
    artifacts warm.
-2. **Serve.**  Drain the shard's request queue under the same
-   max-batch-size / max-wait micro-batching policy as the in-process
-   service, execute through ``identify_batch``, and answer every
-   envelope with a :class:`repro.cluster.broker.Reply`.  Fault
-   isolation mirrors :mod:`repro.serve.workers`: a failing batch falls
-   back to request-at-a-time execution so a poisoned session fails
-   alone; expired envelopes are answered with a
-   ``DeadlineExceededError``-typed reply without running the engine.
+2. **Serve.**  Pull micro-batches from the shard's request queue with
+   the same :class:`repro.serve.workers.Executor` the in-process
+   service runs -- same batching policy, wall-clock deadlines, fault
+   isolation, ``ServiceConfig()``-default retries and counters -- and
+   answer every envelope with a :class:`repro.cluster.broker.Reply`
+   whose ``error_type`` is the raised exception's class name (an
+   expired envelope gets ``DeadlineExceededError``).
 3. **Report.**  A daemon thread emits a :class:`Heartbeat` with a full
    :class:`repro.serve.MetricsRegistry` snapshot every interval -- the
    orchestrator uses the stream both for health checking and for
@@ -41,17 +40,11 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro.cluster.broker import (
-    BrokerEndpoint,
-    Envelope,
-    Heartbeat,
-    Reply,
-    Shutdown,
-)
-from repro.resilience import Deadline, DeadlineExpiredError, deadline_scope
-
-#: How often the consume loop re-checks for work / drain (seconds).
-_IDLE_POLL_S = 0.02
+from repro.cluster.broker import BrokerEndpoint, Heartbeat, Reply, Shutdown
+from repro.core.pipeline import WiMi
+from repro.serve.metrics import MetricsRegistry, StageEventRecorder
+from repro.serve.service import DeadlineExceededError, ServiceConfig
+from repro.serve.workers import Executor, Request, default_runner
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,11 @@ class WorkerBoot:
 
 
 class _WorkerRuntime:
-    """The serving half of a worker process (testable in-process)."""
+    """The serving half of a worker process (testable in-process).
+
+    ``runner(view, sessions) -> labels`` replaces the engine batch call
+    (fault injection); ``boot.throttle_s`` wraps whichever runs.
+    """
 
     def __init__(
         self,
@@ -90,24 +87,19 @@ class _WorkerRuntime:
         shard: int,
         boot: WorkerBoot,
         endpoint: BrokerEndpoint,
+        runner=None,
     ):
-        # Imports deferred to runtime so spawn start-up only pays for
-        # them in the child, after the fast pickling handshake.
-        from repro.core.pipeline import WiMi
-        from repro.serve.metrics import MetricsRegistry, StageEventRecorder
-
         self.worker_id = worker_id
         self.shard = shard
         self.boot = boot
         self.endpoint = endpoint
         self.metrics = MetricsRegistry()
-        for name in (
-            "requests.completed", "requests.failed", "requests.expired",
-            "requests.redelivered", "clock.skew_clamped",
-            "deadline.expired_dequeue", "deadline.expired_stage",
-        ):
+        for name in ("requests.redelivered", "clock.skew_clamped"):
             self.metrics.counter(name)
         self.draining = threading.Event()
+        self._pill = False
+        self._runner = runner if runner is not None else default_runner
+        self._handle_ms = 0.0
         overrides = (
             {"artifact_store_path": boot.artifact_store_path}
             if boot.artifact_store_path is not None
@@ -121,6 +113,20 @@ class _WorkerRuntime:
         )
         self.wimi.engine.add_hook(StageEventRecorder(self.metrics))
         self._beat_seq = 0
+        # Envelope stamps are wall clock by the broker contract
+        # (monotonic clocks are not comparable across processes), so
+        # the executor's deadlines and queue waits run on time.time.
+        self.executor = Executor(
+            view=self.wimi,
+            runner=self._run,
+            metrics=self.metrics,
+            retry_policy=ServiceConfig().retry_policy(),
+            sink=self._reply,
+            deadline_error=DeadlineExceededError,
+            max_batch_size=boot.max_batch_size,
+            max_wait_s=boot.max_wait_s,
+            clock=time.time,
+        )
 
     # ------------------------------------------------------------------
 
@@ -162,196 +168,71 @@ class _WorkerRuntime:
                 float(counters.get(name, 0))
             )
 
-    def _collect(self) -> tuple[list[Envelope], bool]:
-        """One micro-batch; returns (batch, keep_running)."""
-        first = self.endpoint.consume(timeout=_IDLE_POLL_S)
-        if first is None:
-            # Empty queue while draining means the drain is complete.
-            return [], not self.draining.is_set()
-        if isinstance(first, Shutdown):
-            return [], False
-        batch = [first]
-        deadline = time.monotonic() + self.boot.max_wait_s
-        while len(batch) < self.boot.max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            message = self.endpoint.consume(timeout=max(remaining, 0.0))
-            if message is None:
-                break
-            if isinstance(message, Shutdown):
-                # Serve what we already pulled, then stop.
-                self._process(batch)
-                return [], False
-            batch.append(message)
-        return batch, True
-
     def serve_forever(self) -> None:
         """Consume until a pill arrives or a signalled drain finishes."""
-        while True:
-            batch, keep_running = self._collect()
+        while not self._pill:
+            batch = self.executor.collect(self._pull)
             if batch:
-                self._process(batch)
-            if not keep_running:
+                self.executor.execute(batch)
+            elif self.draining.is_set():
+                # Empty queue while draining: the drain is complete.
                 return
 
     # ------------------------------------------------------------------
 
-    def _process(self, batch: list[Envelope]) -> None:
-        # Clock discipline: envelope timestamps (submitted_ts,
-        # deadline_ts) are wall-clock by the broker contract -- monotonic
-        # clocks are not comparable across processes -- so they are the
-        # only comparisons allowed to touch time.time().  Every duration
-        # measured entirely inside this process (batch-collect window,
-        # handle time) runs on time.monotonic(), so an NTP step cannot
-        # stretch or collapse it.
-        wall_now = time.time()
-        live = []
-        for envelope in batch:
-            if envelope.attempts > 0:
-                self.metrics.counter("requests.redelivered").inc()
-            wait_s = wall_now - envelope.submitted_ts
-            if wait_s < 0.0:
-                # Cross-host clock skew (or a step between submit and
-                # consume): count it so skew is diagnosable from the
-                # orchestrator's merged snapshot instead of invisible.
-                self.metrics.counter("clock.skew_clamped").inc()
-                wait_s = 0.0
-            self.metrics.histogram("queue_wait_ms").observe(wait_s * 1000.0)
-            if envelope.expired(wall_now):
-                self.metrics.counter("requests.expired").inc()
-                self.metrics.counter("deadline.expired_dequeue").inc()
-                self._reply_error(
-                    envelope,
-                    "DeadlineExceededError",
-                    "deadline passed while the request was queued",
-                    batch_size=len(batch),
-                )
-            else:
-                live.append(envelope)
-        if not live:
-            return
-        self.metrics.histogram("batch_size").observe(len(live))
-        if self.boot.throttle_s > 0.0:
-            time.sleep(self.boot.throttle_s * len(live))
-        started = time.monotonic()
-        try:
-            # The engine runs under the tightest member deadline
-            # (wall-clock: envelope deadlines cross processes);
-            # stage boundaries call check_deadline(), so a batch
-            # that cannot finish in time aborts to the isolated
-            # path below where each envelope's own deadline rules.
-            with deadline_scope(self._batch_deadline(live)):
-                labels = self.wimi.identify_batch([e.session for e in live])
-            if len(labels) != len(live):
-                raise RuntimeError(
-                    f"engine returned {len(labels)} labels for "
-                    f"{len(live)} sessions"
-                )
-        except DeadlineExpiredError:
-            now = time.time()
-            for envelope in live:
-                if envelope.expired(now):
-                    self.metrics.counter("requests.expired").inc()
-                    self.metrics.counter("deadline.expired_stage").inc()
-                    self._reply_error(
-                        envelope,
-                        "DeadlineExceededError",
-                        "deadline expired mid-pipeline",
-                        batch_size=len(live),
-                    )
-                else:
-                    self._run_isolated(envelope, len(live))
-            return
-        except Exception:
-            # Batch path failed: isolate per request so a poisoned
-            # session fails alone (same contract as the thread pool).
-            for envelope in live:
-                self._run_isolated(envelope, len(live))
-            return
-        handle_ms = (time.monotonic() - started) * 1000.0 / len(live)
-        for envelope, label in zip(live, labels):
-            self._reply_label(
-                envelope, str(label), batch_size=len(live),
-                handle_ms=handle_ms,
-            )
-
-    @staticmethod
-    def _batch_deadline(live: list[Envelope]) -> Deadline | None:
-        """Tightest member deadline as a wall-clock Deadline, if any."""
-        stamps = [
-            e.deadline_ts for e in live if e.deadline_ts is not None
-        ]
-        if not stamps:
+    def _pull(self, timeout: float):
+        """The next envelope as an executor request (None = none/pill)."""
+        message = self.endpoint.consume(timeout=timeout)
+        if isinstance(message, Shutdown):
+            # Serve what was already pulled, then stop.
+            self._pill = True
             return None
-        return Deadline.at_wall(min(stamps))
+        if message is None:
+            return None
+        if message.attempts > 0:
+            self.metrics.counter("requests.redelivered").inc()
+        if message.submitted_ts > time.time():
+            # Cross-host clock skew (or a step between submit and
+            # consume): the executor clamps the queue wait at zero;
+            # counting it keeps skew diagnosable from the orchestrator's
+            # merged snapshot instead of invisible.
+            self.metrics.counter("clock.skew_clamped").inc()
+        return Request(
+            message.session, message.deadline_ts, message.submitted_ts,
+            payload=message,
+        )
 
-    def _run_isolated(self, envelope: Envelope, batch_size: int) -> None:
+    def _run(self, view, sessions: list) -> list[str]:
+        """The runner behind the throttle; records per-session handle time.
+
+        Handle time is measured on the monotonic clock: it never leaves
+        this process, so an NTP step cannot stretch or collapse it.
+        """
+        if self.boot.throttle_s > 0.0:
+            time.sleep(self.boot.throttle_s * len(sessions))
         started = time.monotonic()
-        try:
-            scope = (
-                Deadline.at_wall(envelope.deadline_ts)
-                if envelope.deadline_ts is not None
-                else None
-            )
-            with deadline_scope(scope):
-                label = self.wimi.identify(envelope.session)
-        except DeadlineExpiredError:
-            self.metrics.counter("requests.expired").inc()
-            self.metrics.counter("deadline.expired_stage").inc()
-            self._reply_error(
-                envelope,
-                "DeadlineExceededError",
-                "deadline expired mid-pipeline",
-                batch_size=batch_size,
-            )
-            return
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            self.metrics.counter("requests.failed").inc()
-            self.metrics.counter(f"faults.{type(error).__name__}").inc()
-            self._reply_error(
-                envelope, type(error).__name__, str(error),
-                batch_size=batch_size,
-            )
-            return
-        self._reply_label(
-            envelope, str(label), batch_size=batch_size,
-            handle_ms=(time.monotonic() - started) * 1000.0,
-        )
+        labels = self._runner(view, sessions)
+        self._handle_ms = (time.monotonic() - started) * 1000.0 / len(sessions)
+        return labels
 
-    def _reply_label(
-        self, envelope: Envelope, label: str, batch_size: int,
-        handle_ms: float = 0.0,
-    ) -> None:
-        self.metrics.counter("requests.completed").inc()
-        self.metrics.histogram("handle_ms").observe(handle_ms)
-        self.endpoint.send_reply(
-            Reply(
-                request_id=envelope.request_id,
-                label=label,
-                worker=self.worker_id,
-                shard=self.shard,
-                attempts=envelope.attempts + 1,
-                batch_size=batch_size,
-                handle_ms=handle_ms,
-            )
+    def _reply(self, request, outcome) -> None:
+        """Executor sink: answer the envelope with a :class:`Reply`."""
+        envelope = request.payload
+        reply = Reply(
+            request_id=envelope.request_id,
+            worker=self.worker_id,
+            shard=self.shard,
+            attempts=envelope.attempts + request.attempts,
+            batch_size=request.batch_size,
         )
-
-    def _reply_error(
-        self, envelope: Envelope, error_type: str, error: str,
-        batch_size: int,
-    ) -> None:
-        self.endpoint.send_reply(
-            Reply(
-                request_id=envelope.request_id,
-                error_type=error_type,
-                error=error,
-                worker=self.worker_id,
-                shard=self.shard,
-                attempts=envelope.attempts + 1,
-                batch_size=batch_size,
-            )
-        )
+        if isinstance(outcome, BaseException):
+            reply.error_type = type(outcome).__name__
+            reply.error = str(outcome)
+        else:
+            reply.label = outcome
+            reply.handle_ms = self._handle_ms
+            self.metrics.histogram("handle_ms").observe(self._handle_ms)
+        self.endpoint.send_reply(reply)
 
 
 def worker_main(

@@ -7,13 +7,12 @@
   a :class:`RequestHandle` (a future).  A full queue rejects the submit
   with :class:`QueueFullError` -- explicit backpressure, never a silent
   drop.
-* A :class:`repro.serve.batcher.MicroBatcher` drains the queue under a
-  max-batch-size / max-wait policy, so co-arriving sessions share one
-  denoiser pass through the engine's batch path.
-* A :class:`repro.serve.workers.WorkerPool` of N threads executes the
-  batches, each worker owning its own engine view over one shared
-  :class:`repro.engine.StageCache`.  A request that raises fails alone;
-  transient faults retry with exponential backoff.
+* N worker threads each pull their own micro-batch straight from that
+  queue under a max-batch-size / max-wait policy, so co-arriving
+  sessions share one denoiser pass through the engine's batch path.
+  Each runs a :class:`repro.serve.workers.Executor` over its own engine
+  view of one shared :class:`repro.engine.StageCache`.  A request that
+  raises fails alone; transient faults retry with exponential backoff.
 * Every hop is measured in a :class:`repro.serve.metrics.MetricsRegistry`
   (queue wait, end-to-end latency, batch sizes, retries, rejections,
   per-stage cache behaviour).
@@ -38,13 +37,13 @@ from repro.core.pipeline import WiMi
 from repro.csi.collector import CaptureSession
 from repro.csi.quality import CorruptTraceError
 from repro.resilience import Backoff, LoadShedder, RetryPolicy
-from repro.serve.batcher import MicroBatcher
-from repro.serve.metrics import (
-    BATCH_SIZE_BUCKETS,
-    MetricsRegistry,
-    StageEventRecorder,
+from repro.serve.metrics import MetricsRegistry, StageEventRecorder
+from repro.serve.workers import (
+    Executor,
+    Request,
+    default_runner,
+    register_instruments,
 )
-from repro.serve.workers import WorkerPool
 
 
 class ServeError(Exception):
@@ -91,10 +90,10 @@ class ServiceConfig:
     Attributes:
         queue_capacity: Bounded request-queue depth; submissions beyond
             it raise :class:`QueueFullError`.
-        max_batch_size: Most sessions the batcher co-schedules into one
+        max_batch_size: Most sessions a worker co-schedules into one
             engine batch call.
-        max_wait_s: Longest the batcher holds an incomplete batch open
-            waiting for co-riders before dispatching it anyway.
+        max_wait_s: Longest a worker holds an incomplete batch open
+            waiting for co-riders before running it anyway.
         num_workers: Worker threads, each with its own engine view over
             the shared stage cache.
         retry_budget: Extra attempts (beyond the first) a failing
@@ -103,9 +102,6 @@ class ServiceConfig:
             subsequent retry of the same request.
         default_timeout_s: Deadline applied to submissions that do not
             pass their own ``timeout`` (None = no deadline).
-        dispatch_depth: Batches that may sit ready-to-run ahead of the
-            workers; keeping it small propagates worker saturation back
-            to the request queue (backpressure) instead of hiding it.
         backoff_max_s: Cap on any single retry backoff delay.
         shed_latency_threshold_ms: End-to-end latency EWMA at which the
             load shedder reads pressure 1.0; ``None`` sheds on queue
@@ -126,7 +122,6 @@ class ServiceConfig:
     retry_budget: int = 1
     backoff_base_s: float = 0.002
     default_timeout_s: float | None = None
-    dispatch_depth: int = 2
     backoff_max_s: float = 0.25
     shed_latency_threshold_ms: float | None = None
     shed_base_pressure: float = 1.0
@@ -156,15 +151,25 @@ class ServiceConfig:
             raise ValueError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
             )
-        if self.dispatch_depth < 1:
-            raise ValueError(
-                f"dispatch_depth must be >= 1, got {self.dispatch_depth}"
-            )
         if self.backoff_max_s < self.backoff_base_s:
             raise ValueError(
                 f"backoff_max_s ({self.backoff_max_s}) must be >= "
                 f"backoff_base_s ({self.backoff_base_s})"
             )
+
+    def retry_policy(self) -> RetryPolicy:
+        """The retry policy these knobs describe.
+
+        A structurally broken capture (:class:`CorruptTraceError`) is
+        deterministic, so it is never retried.
+        """
+        return RetryPolicy(
+            budget=self.retry_budget,
+            backoff=Backoff(
+                base_s=self.backoff_base_s, max_s=self.backoff_max_s
+            ),
+            retryable=lambda exc: not isinstance(exc, CorruptTraceError),
+        )
 
 
 class RequestHandle:
@@ -226,29 +231,6 @@ class RequestHandle:
             self._done.set()
 
 
-class _Request:
-    """Internal envelope the queue/batcher/workers pass around."""
-
-    __slots__ = ("session", "handle", "deadline", "submitted_at", "priority")
-
-    def __init__(
-        self,
-        session: CaptureSession,
-        handle: RequestHandle,
-        deadline: float | None,
-        submitted_at: float,
-        priority: int = 0,
-    ):
-        self.session = session
-        self.handle = handle
-        self.deadline = deadline
-        self.submitted_at = submitted_at
-        self.priority = priority
-
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now > self.deadline
-
-
 class IdentificationService:
     """Bounded-queue, micro-batching serving front of a fitted WiMi.
 
@@ -277,19 +259,15 @@ class IdentificationService:
         self.wimi = wimi
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._runner = runner
+        self._runner = runner if runner is not None else default_runner
         self._inbox: queue.Queue = queue.Queue(
             maxsize=self.config.queue_capacity
-        )
-        self._dispatch: queue.Queue = queue.Queue(
-            maxsize=self.config.dispatch_depth
         )
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._started = False
         self._stopped = False
-        self._batcher: MicroBatcher | None = None
-        self._pool: WorkerPool | None = None
+        self._workers: list[threading.Thread] = []
         self._shedder = LoadShedder(
             capacity=self.config.queue_capacity,
             latency_threshold_ms=self.config.shed_latency_threshold_ms,
@@ -299,19 +277,14 @@ class IdentificationService:
         )
         # Pre-create the instruments the snapshot readers expect even
         # under zero traffic.
+        register_instruments(self.metrics)
         for name in (
-            "requests.submitted", "requests.completed", "requests.failed",
-            "requests.rejected", "requests.expired", "requests.retries",
-            "requests.shed",
-            "deadline.expired_admission", "deadline.expired_dequeue",
-            "deadline.expired_stage", "deadline.expired_retry",
-            "faults.total",
+            "requests.submitted", "requests.rejected", "requests.shed",
+            "deadline.expired_admission",
             "cache.memory_hits", "cache.disk_hits", "cache.misses",
         ):
             self.metrics.counter(name)
         self.metrics.histogram("latency_ms")
-        self.metrics.histogram("queue_wait_ms")
-        self.metrics.histogram("batch_size", BATCH_SIZE_BUCKETS)
         # Durable tier visibility: 1 when the stage cache is backed by
         # an on-disk artifact store (warm-start serving), else 0.
         self.metrics.gauge("store.mounted").set(
@@ -323,44 +296,32 @@ class IdentificationService:
     # ------------------------------------------------------------------
 
     def start(self) -> "IdentificationService":
-        """Spin up the batcher and the worker pool (idempotent)."""
+        """Spin up the worker threads (idempotent)."""
         with self._lock:
             if self._started:
                 return self
             if self._stopped:
                 raise ServiceStoppedError("service cannot be restarted")
-            retry_policy = RetryPolicy(
-                budget=self.config.retry_budget,
-                backoff=Backoff(
-                    base_s=self.config.backoff_base_s,
-                    max_s=self.config.backoff_max_s,
-                ),
-                # A structurally broken capture is deterministic; see
-                # Worker._run_isolated.
-                retryable=lambda exc: not isinstance(exc, CorruptTraceError),
-            )
-            self._pool = WorkerPool(
-                wimi=self.wimi,
-                dispatch=self._dispatch,
-                metrics=self.metrics,
-                num_workers=self.config.num_workers,
-                retry_policy=retry_policy,
-                runner=self._runner,
-                stop_event=self._stop,
-                deadline_error=DeadlineExceededError,
-                hook_factory=lambda: StageEventRecorder(self.metrics),
-                latency_observer=self._shedder.observe_latency,
-            )
-            self._batcher = MicroBatcher(
-                inbox=self._inbox,
-                dispatch=self._dispatch,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_s,
-                metrics=self.metrics,
-                stop_event=self._stop,
-            )
-            self._pool.start()
-            self._batcher.start()
+            retry_policy = self.config.retry_policy()
+            for index in range(self.config.num_workers):
+                view = self.wimi.clone_view()
+                view.engine.add_hook(StageEventRecorder(self.metrics))
+                executor = Executor(
+                    view=view,
+                    runner=self._runner,
+                    metrics=self.metrics,
+                    retry_policy=retry_policy,
+                    sink=self._report,
+                    deadline_error=DeadlineExceededError,
+                    max_batch_size=self.config.max_batch_size,
+                    max_wait_s=self.config.max_wait_s,
+                )
+                self._workers.append(threading.Thread(
+                    target=self._work, args=(executor,),
+                    name=f"repro-serve-worker-{index}", daemon=True,
+                ))
+            for worker in self._workers:
+                worker.start()
             self._started = True
         return self
 
@@ -380,27 +341,19 @@ class IdentificationService:
             self._stopped = True
         deadline = time.monotonic() + timeout
         if drain:
-            while (
-                not self._inbox.empty() or not self._dispatch.empty()
-            ) and time.monotonic() < deadline:
+            while not self._inbox.empty() and time.monotonic() < deadline:
                 time.sleep(0.002)
         self._stop.set()
-        assert self._batcher is not None and self._pool is not None
-        self._batcher.join(timeout=max(0.0, deadline - time.monotonic()))
-        self._pool.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in self._workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
         # Whatever is still queued can no longer run.
-        for pending_queue in (self._inbox, self._dispatch):
-            while True:
-                try:
-                    item = pending_queue.get_nowait()
-                except queue.Empty:
-                    break
-                requests = item if isinstance(item, list) else [item]
-                for request in requests:
-                    request.handle._fail(
-                        ServiceStoppedError("service stopped")
-                    )
-                    self.metrics.counter("requests.failed").inc()
+        while True:
+            try:
+                request = self._inbox.get_nowait()
+            except queue.Empty:
+                break
+            request.payload._fail(ServiceStoppedError("service stopped"))
+            self.metrics.counter("requests.failed").inc()
 
     def install_signal_handlers(
         self, drain: bool = True, timeout: float = 10.0, resend: bool = True
@@ -488,12 +441,11 @@ class IdentificationService:
                 f"shed at priority {priority} "
                 f"(pressure {self._shedder.pressure(self._inbox.qsize()):.2f})"
             )
-        request = _Request(
+        request = Request(
             session=session,
-            handle=handle,
             deadline=None if effective is None else now + effective,
             submitted_at=now,
-            priority=priority,
+            payload=handle,
         )
         try:
             self._inbox.put_nowait(request)
@@ -525,6 +477,42 @@ class IdentificationService:
     ) -> str:
         """Synchronous convenience: submit and wait for the label."""
         return self.submit(session, timeout=timeout).result(timeout=timeout)
+
+    # ------------------------------------------------------------------
+    # Worker threads
+    # ------------------------------------------------------------------
+
+    def _work(self, executor: Executor) -> None:
+        """One worker: pull a micro-batch from the inbox, run it, repeat."""
+        self.metrics.gauge("workers.alive").inc()
+        try:
+            while not self._stop.is_set():
+                batch = executor.collect(self._pull)
+                if batch:
+                    self.metrics.gauge("queue_depth").set(self._inbox.qsize())
+                    executor.execute(batch)
+        finally:
+            self.metrics.gauge("workers.alive").dec()
+
+    def _pull(self, timeout: float) -> Request | None:
+        try:
+            return self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def _report(self, request: Request, outcome) -> None:
+        """Executor sink: resolve the handle; feed latency and the shedder."""
+        handle = request.payload
+        handle.attempts = request.attempts
+        handle.batch_size = request.batch_size
+        handle.latency_s = time.monotonic() - request.submitted_at
+        if isinstance(outcome, BaseException):
+            handle._fail(outcome)
+            return
+        latency_ms = handle.latency_s * 1000.0
+        self.metrics.histogram("latency_ms").observe(latency_ms)
+        self._shedder.observe_latency(latency_ms)
+        handle._resolve(outcome)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,40 +1,46 @@
-"""Worker pool: N threads, each owning an engine view over one cache.
+"""The request executor shared by the in-process and cluster fronts.
 
-Each worker gets its own :class:`repro.core.pipeline.WiMi` view (via
-``WiMi.clone_view``): private ``PipelineEngine`` and hook list, shared
-calibration, classifier and :class:`repro.engine.StageCache`.  Workers
-therefore never contend on engine-local state, while every artifact one
-worker computes is immediately reusable by the others.
+One :class:`Executor` serves one engine view.  It pulls its own
+micro-batch from a transport (the first request blocks, then the batch
+fills until ``max_batch_size`` or ``max_wait_s``), drops requests that
+expired while queued, runs the rest through one engine batch call and
+reports every outcome to a *sink*.  The in-process service gives each
+worker thread an executor over its own
+:class:`repro.core.pipeline.WiMi` view (via ``WiMi.clone_view``) pulling
+from the service's bounded inbox; a cluster worker process gives its one
+executor the shard's broker endpoint.  Both therefore count the same
+things under the same names.
 
 Fault isolation is per request: a batch whose engine call raises falls
 back to request-at-a-time execution, so a poisoned session fails only
-itself (its handle carries the error) and the co-scheduled sessions
-still resolve.  Each failing request is retried under a
-:class:`repro.resilience.RetryPolicy` (budget-capped exponential
-backoff with full jitter) before its error is returned; the worker
-thread itself survives any request failure.
+itself and the co-scheduled sessions still resolve.  Each failing
+request is retried under a :class:`repro.resilience.RetryPolicy`
+(budget-capped exponential backoff with full jitter) before its error
+is reported; the executor itself survives any request failure.
 
-Deadlines are enforced at three drop points, each with its own
-``deadline.expired_*`` counter: *dequeue* (expired while queued),
-*stage* (the engine's per-stage :func:`repro.resilience.check_deadline`
-guard fired mid-pipeline -- via the ambient ``deadline_scope`` the
-worker installs around every engine call), and *retry* (expired between
-attempts).  The legacy ``requests.expired`` counter aggregates all of
-them.
+Deadlines live on the executor's clock -- :func:`time.monotonic` in
+process, wall clock for cross-process envelopes -- and are enforced at
+three drop points, each with its own ``deadline.expired_*`` counter:
+*dequeue* (expired while queued), *stage* (the engine's per-stage
+:func:`repro.resilience.check_deadline` guard fired mid-pipeline -- via
+the ambient ``deadline_scope`` installed around every engine call, the
+tightest member deadline for a batch), and *retry* (expired between
+attempts).  ``requests.expired`` aggregates all of them.
 
-Every fault is surfaced in the metrics registry: ``faults.total`` plus
-a per-exception-type ``faults.<ClassName>`` counter, and
-``faults.batch_isolated`` whenever a whole batch had to fall back to
-request-at-a-time execution.  :class:`repro.csi.quality.CorruptTraceError`
-is treated as *deterministic* -- a structurally broken capture cannot
-become valid by retrying -- so it fails the request immediately instead
-of burning the backoff budget.
+Counter definitions:
+
+* ``requests.completed`` / ``requests.failed`` -- every request the
+  executor resolves with a label / with an error, expiries included;
+* ``faults.total`` plus ``faults.<ClassName>`` for every raised fault,
+  and ``faults.batch_isolated`` whenever a whole batch fell back to
+  request-at-a-time execution;
+* the ``batch_size`` histogram records the live sessions handed to the
+  engine -- the number each request's outcome carries as its batch
+  size.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from typing import Callable
 
@@ -45,10 +51,19 @@ from repro.resilience import (
     RetryPolicy,
     deadline_scope,
 )
-from repro.serve.metrics import MetricsRegistry
+from repro.serve.metrics import BATCH_SIZE_BUCKETS, MetricsRegistry
 
-#: How often workers re-check the stop event while idle (seconds).
+#: How long the first pull of a batch blocks before the caller gets
+#: control back to check for shutdown (seconds).
 _IDLE_POLL_S = 0.02
+
+#: Counters the executor owns, created up front so snapshots carry them
+#: under zero traffic.
+_COUNTERS = (
+    "requests.completed", "requests.failed", "requests.expired",
+    "requests.retries", "deadline.expired_dequeue", "deadline.expired_stage",
+    "deadline.expired_retry", "faults.total", "faults.batch_isolated",
+)
 
 
 def default_runner(view: WiMi, sessions: list) -> list[str]:
@@ -56,77 +71,142 @@ def default_runner(view: WiMi, sessions: list) -> list[str]:
     return view.identify_batch(sessions)
 
 
-class Worker(threading.Thread):
-    """One serving thread; see module docstring for the semantics."""
+def register_instruments(metrics: MetricsRegistry) -> None:
+    """Create the executor-owned instruments in ``metrics``."""
+    for name in _COUNTERS:
+        metrics.counter(name)
+    metrics.histogram("queue_wait_ms")
+    metrics.histogram("batch_size", BATCH_SIZE_BUCKETS)
+
+
+class Request:
+    """One queued session as the executor sees it.
+
+    Args:
+        session: The capture session to identify.
+        deadline: Expiry instant on the executor's clock (None = none).
+        submitted_at: Submit instant on the executor's clock.
+        payload: The transport's own handle on the request (a
+            :class:`repro.serve.RequestHandle`, an ``Envelope``); the
+            sink resolves through it.
+    """
+
+    __slots__ = (
+        "session", "deadline", "submitted_at", "payload", "attempts",
+        "batch_size",
+    )
 
     def __init__(
         self,
-        name: str,
+        session,
+        deadline: float | None,
+        submitted_at: float,
+        payload,
+    ):
+        self.session = session
+        self.deadline = deadline
+        self.submitted_at = submitted_at
+        self.payload = payload
+        #: Engine runs this request took part in.
+        self.attempts = 0
+        #: Live sessions in the last engine batch it ran in (None until
+        #: it reaches the engine).
+        self.batch_size: int | None = None
+
+    def expired(self, now: float) -> bool:
+        return self.deadline is not None and now > self.deadline
+
+
+class Executor:
+    """Micro-batch collection and fault-isolated execution for one view.
+
+    Args:
+        view: The engine view the runner executes on.
+        runner: ``runner(view, sessions) -> labels``.
+        metrics: Registry receiving every executor-owned instrument.
+        retry_policy: Budget, backoff and retryability of isolated runs.
+        sink: ``sink(request, outcome)``, called exactly once per
+            request with its label (``str``) or its error.
+        deadline_error: Exception type reported for expired requests.
+        max_batch_size: Most requests in one engine batch.
+        max_wait_s: Longest to hold an incomplete batch open.
+        clock: "Now" on the clock request deadlines and submit stamps
+            use.
+    """
+
+    def __init__(
+        self,
         view: WiMi,
-        dispatch: queue.Queue,
+        runner: Callable[[WiMi, list], list[str]],
         metrics: MetricsRegistry,
         retry_policy: RetryPolicy,
-        runner: Callable[[WiMi, list], list[str]],
-        stop_event: threading.Event,
+        sink: Callable[[Request, object], None],
         deadline_error: type[Exception],
-        latency_observer: Callable[[float], None] | None = None,
+        max_batch_size: int,
+        max_wait_s: float,
+        clock: Callable[[], float] = time.monotonic,
     ):
-        super().__init__(name=name, daemon=True)
         self.view = view
-        self.dispatch = dispatch
+        self.runner = runner
         self.metrics = metrics
         self.retry_policy = retry_policy
-        self.runner = runner
-        self.stop_event = stop_event
+        self.sink = sink
         self.deadline_error = deadline_error
-        self.latency_observer = latency_observer
+        self.max_batch_size = max_batch_size
+        self.max_wait_s = max_wait_s
+        self.clock = clock
+        register_instruments(metrics)
 
     # ------------------------------------------------------------------
 
-    def run(self) -> None:
-        self.metrics.gauge("workers.alive").inc()
-        try:
-            while True:
-                try:
-                    batch = self.dispatch.get(timeout=_IDLE_POLL_S)
-                except queue.Empty:
-                    if self.stop_event.is_set():
-                        return
-                    continue
-                self._process_batch(batch)
-        finally:
-            self.metrics.gauge("workers.alive").dec()
+    def collect(self, pull: Callable[[float], Request | None]) -> list:
+        """One micro-batch from ``pull(timeout) -> Request | None``.
 
-    # ------------------------------------------------------------------
+        The first pull waits :data:`_IDLE_POLL_S`; the batch then fills
+        until ``max_batch_size`` or ``max_wait_s`` (measured on the
+        monotonic clock -- it never leaves this process), or until
+        ``pull`` comes back empty.
+        """
+        first = pull(_IDLE_POLL_S)
+        if first is None:
+            return []
+        batch = [first]
+        fill_until = time.monotonic() + self.max_wait_s
+        while len(batch) < self.max_batch_size:
+            remaining = fill_until - time.monotonic()
+            if remaining <= 0:
+                break
+            request = pull(remaining)
+            if request is None:
+                break
+            batch.append(request)
+        return batch
 
-    def _process_batch(self, batch: list) -> None:
+    def execute(self, batch: list[Request]) -> None:
         """Run one batch with per-request fault isolation."""
-        now = time.monotonic()
+        now = self.clock()
         live = []
         for request in batch:
             self.metrics.histogram("queue_wait_ms").observe(
-                (now - request.submitted_at) * 1000.0
+                max(0.0, now - request.submitted_at) * 1000.0
             )
             if request.expired(now):
-                self._fail(
-                    request,
-                    self.deadline_error(
-                        "deadline passed while the request was queued"
-                    ),
+                self._expire(
+                    request, "dequeue",
+                    "deadline passed while the request was queued",
                 )
-                self.metrics.counter("deadline.expired_dequeue").inc()
-                self.metrics.counter("requests.expired").inc()
             else:
                 live.append(request)
         if not live:
             return
+        self.metrics.histogram("batch_size").observe(len(live))
         self.metrics.gauge("inflight").inc(len(live))
         try:
             for request in live:
-                request.handle.attempts += 1
-                request.handle.batch_size = len(live)
+                request.attempts += 1
+                request.batch_size = len(live)
             try:
-                with deadline_scope(self._batch_deadline(live)):
+                with deadline_scope(self._scope(live)):
                     labels = self.runner(
                         self.view, [request.session for request in live]
                     )
@@ -139,12 +219,10 @@ class Worker(threading.Thread):
                 # The earliest deadline in the batch lapsed mid-pipeline.
                 # Requests that are themselves expired fail here; the
                 # rest re-run isolated under their own deadlines.
-                now = time.monotonic()
+                now = self.clock()
                 for request in live:
                     if request.expired(now):
-                        self.metrics.counter("deadline.expired_stage").inc()
-                        self.metrics.counter("requests.expired").inc()
-                        self._fail(request, self.deadline_error(str(exc)))
+                        self._expire(request, "stage", str(exc))
                     else:
                         self._run_isolated(request)
                 return
@@ -161,7 +239,7 @@ class Worker(threading.Thread):
         finally:
             self.metrics.gauge("inflight").dec(len(live))
 
-    def _run_isolated(self, request) -> None:
+    def _run_isolated(self, request: Request) -> None:
         """One request, attempted until success or budget exhaustion.
 
         The first isolated attempt is *not* counted against the retry
@@ -173,142 +251,63 @@ class Worker(threading.Thread):
         """
         error: BaseException | None = None
         for retry in range(self.retry_policy.budget + 1):
-            if request.expired(time.monotonic()):
-                self.metrics.counter("deadline.expired_retry").inc()
-                self.metrics.counter("requests.expired").inc()
-                self._fail(
-                    request,
-                    self.deadline_error("deadline passed during retries"),
+            if request.expired(self.clock()):
+                self._expire(
+                    request, "retry", "deadline passed during retries"
                 )
                 return
             if retry > 0:
                 self.metrics.counter("requests.retries").inc()
                 self.retry_policy.sleep(retry - 1)
-            request.handle.attempts += 1
+            request.attempts += 1
             try:
-                with deadline_scope(self._request_deadline(request)):
+                with deadline_scope(self._scope([request])):
                     labels = self.runner(self.view, [request.session])
-                self._resolve(request, str(labels[0]))
-                return
             except DeadlineExpiredError as exc:
                 # No point retrying: the deadline will not un-expire.
-                self.metrics.counter("deadline.expired_stage").inc()
-                self.metrics.counter("requests.expired").inc()
-                self._fail(request, self.deadline_error(str(exc)))
+                self._expire(request, "stage", str(exc))
                 return
             except Exception as exc:  # noqa: BLE001 -- isolation boundary
                 error = exc
                 self._record_fault(exc)
                 if not self.retry_policy.is_retryable(exc):
                     break
+            else:
+                self._resolve(request, str(labels[0]))
+                return
         assert error is not None
         self._fail(request, error)
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _request_deadline(request) -> Deadline | None:
-        """The ambient deadline for one request's engine run."""
-        if request.deadline is None:
-            return None
-        return Deadline(request.deadline)
+    def _scope(self, requests: list[Request]) -> Deadline | None:
+        """The ambient deadline for an engine run: its *earliest* member
+        deadline, on the executor's clock.
 
-    @staticmethod
-    def _batch_deadline(live: list) -> Deadline | None:
-        """The scope for a batch run: its *earliest* member deadline.
-
-        When it fires mid-pipeline the batch falls back to isolated
+        When it fires mid-pipeline a batch falls back to isolated
         execution, where each request runs under its own deadline -- so
         a short-deadline co-rider cannot silently extend (max) nor a
         long-deadline one silently truncate (nothing) the others.
         """
-        deadlines = [r.deadline for r in live if r.deadline is not None]
+        deadlines = [r.deadline for r in requests if r.deadline is not None]
         if not deadlines:
             return None
-        return Deadline(min(deadlines))
+        return Deadline(min(deadlines), self.clock)
 
-    def _resolve(self, request, label: str) -> None:
-        request.handle.latency_s = time.monotonic() - request.submitted_at
-        latency_ms = request.handle.latency_s * 1000.0
-        self.metrics.histogram("latency_ms").observe(latency_ms)
-        if self.latency_observer is not None:
-            self.latency_observer(latency_ms)
+    def _resolve(self, request: Request, label: str) -> None:
         self.metrics.counter("requests.completed").inc()
-        request.handle._resolve(label)
+        self.sink(request, label)
 
-    def _fail(self, request, error: BaseException) -> None:
-        request.handle.latency_s = time.monotonic() - request.submitted_at
+    def _fail(self, request: Request, error: BaseException) -> None:
         self.metrics.counter("requests.failed").inc()
-        request.handle._fail(error)
+        self.sink(request, error)
+
+    def _expire(self, request: Request, point: str, message: str) -> None:
+        self.metrics.counter(f"deadline.expired_{point}").inc()
+        self.metrics.counter("requests.expired").inc()
+        self._fail(request, self.deadline_error(message))
 
     def _record_fault(self, error: BaseException) -> None:
         """Count one raised fault under its exception type."""
         self.metrics.counter("faults.total").inc()
         self.metrics.counter(f"faults.{type(error).__name__}").inc()
-
-
-class WorkerPool:
-    """The service's N workers plus their engine views.
-
-    Args:
-        wimi: The fitted pipeline whose views the workers own.
-        dispatch: Bounded batch queue fed by the micro-batcher.
-        metrics: Shared registry.
-        num_workers: Thread count.
-        retry_policy: Shared :class:`repro.resilience.RetryPolicy`
-            (budget, jittered backoff, retryability classifier).
-        runner: Batch execution function (None = ``default_runner``).
-        stop_event: Shared shutdown signal.
-        deadline_error: Exception type raised for expired requests
-            (injected to avoid a circular import with ``service``).
-        hook_factory: Called once per worker; the result is registered
-            as a stage-event hook on that worker's engine view.
-        latency_observer: Optional callback fed each completed
-            request's end-to-end latency in ms (the load shedder's
-            EWMA input).
-    """
-
-    def __init__(
-        self,
-        wimi: WiMi,
-        dispatch: queue.Queue,
-        metrics: MetricsRegistry,
-        num_workers: int,
-        retry_policy: RetryPolicy,
-        runner: Callable[[WiMi, list], list[str]] | None,
-        stop_event: threading.Event,
-        deadline_error: type[Exception],
-        hook_factory: Callable[[], Callable] | None = None,
-        latency_observer: Callable[[float], None] | None = None,
-    ):
-        self.workers: list[Worker] = []
-        for index in range(num_workers):
-            view = wimi.clone_view()
-            if hook_factory is not None:
-                view.engine.add_hook(hook_factory())
-            self.workers.append(
-                Worker(
-                    name=f"repro-serve-worker-{index}",
-                    view=view,
-                    dispatch=dispatch,
-                    metrics=metrics,
-                    retry_policy=retry_policy,
-                    runner=runner if runner is not None else default_runner,
-                    stop_event=stop_event,
-                    deadline_error=deadline_error,
-                    latency_observer=latency_observer,
-                )
-            )
-
-    def start(self) -> None:
-        """Start every worker thread."""
-        for worker in self.workers:
-            worker.start()
-
-    def join(self, timeout: float | None = None) -> None:
-        """Join every worker thread (each gets the full timeout)."""
-        for worker in self.workers:
-            worker.join(timeout=timeout)
-
-    def __len__(self) -> int:
-        return len(self.workers)

@@ -25,7 +25,7 @@ from repro.experiments.datasets import (
     split_dataset,
     standard_scene,
 )
-from repro.serve import QueueFullError, ServiceStoppedError
+from repro.serve import MetricsRegistry, QueueFullError, ServiceStoppedError
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +319,86 @@ class TestKillSurvival:
             assert [h.result(timeout=120.0) for h in handles] == expected
             counters = client.snapshot()["cluster"]["counters"]
             assert counters["cluster.shards_failed"] == 1
+
+
+# ----------------------------------------------------------------------
+# Worker runtime, driven in process over a scripted endpoint
+# ----------------------------------------------------------------------
+
+
+def _serve_in_process(registry, messages):
+    """Boot a worker runtime in this process and serve ``messages``.
+
+    ``consume`` hands out the messages in order (``None`` ends a
+    micro-batch early), then a :class:`Shutdown` pill.  The runner
+    labels everything ``"oil"`` so envelopes need no real session.
+    """
+    from types import SimpleNamespace
+
+    from repro.cluster.worker import WorkerBoot, _WorkerRuntime
+
+    script = list(messages)
+    replies = []
+    endpoint = SimpleNamespace(
+        consume=lambda timeout=None: script.pop(0) if script else Shutdown(),
+        send_reply=replies.append,
+        send_heartbeat=lambda beat: None,
+    )
+    runtime = _WorkerRuntime(
+        "w0", 0, WorkerBoot(registry_path=str(registry)), endpoint,
+        runner=lambda view, sessions: ["oil"] * len(sessions),
+    )
+    runtime.serve_forever()
+    return runtime, replies
+
+
+class TestWorkerClockDiscipline:
+    """Envelope stamps are wall clock, so the worker's executor runs on
+    ``time.time``: skewed submit stamps are clamped and counted, and
+    deadlines expire against the wall clock."""
+
+    def test_skewed_submit_clamps_and_counts(self, deployment):
+        """A future submitted_ts (cross-host skew) is clamped, not negative.
+
+        The clamp is counted in ``clock.skew_clamped`` so skew shows up
+        in the orchestrator's merged snapshot instead of silently
+        zeroing queue-wait samples.
+        """
+        _, _, registry, _ = deployment
+        skewed = Envelope("r1", None, 0, submitted_ts=time.time() + 60.0)
+        normal = Envelope("r2", None, 0)
+        runtime, replies = _serve_in_process(registry, [skewed, normal])
+
+        assert runtime.executor.clock is time.time
+        assert runtime.metrics.counter("clock.skew_clamped").value == 1
+        waits = runtime.metrics.snapshot()["histograms"]["queue_wait_ms"]
+        assert waits["count"] == 2
+        assert waits["min"] >= 0.0  # never a negative wait sample
+        assert sorted(r.request_id for r in replies) == ["r1", "r2"]
+        assert all(r.ok for r in replies)
+
+    def test_skew_counter_survives_snapshot_merge(self, deployment):
+        """The counter reaches the orchestrator's cross-process merge."""
+        _, _, registry, _ = deployment
+        runtime, _ = _serve_in_process(
+            registry, [Envelope("r1", None, 0, submitted_ts=time.time() + 5.0)]
+        )
+        merged = MetricsRegistry.merge(
+            [runtime.metrics.snapshot(), MetricsRegistry().snapshot()]
+        )
+        assert merged["counters"]["clock.skew_clamped"] == 1
+
+    def test_unskewed_batch_counts_nothing(self, deployment):
+        _, _, registry, _ = deployment
+        # Wall-clock deadlines still expire against wall-clock now.
+        stale = Envelope("r3", None, 0, deadline_ts=time.time() - 1.0)
+        runtime, replies = _serve_in_process(
+            registry,
+            [Envelope("r1", None, 0), Envelope("r2", None, 0), None, stale],
+        )
+        assert runtime.metrics.counter("clock.skew_clamped").value == 0
+        assert runtime.metrics.counter("requests.expired").value == 1
+        assert replies[-1].error_type == "DeadlineExceededError"
 
 
 # ----------------------------------------------------------------------

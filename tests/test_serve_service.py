@@ -5,6 +5,8 @@ builds its own service over it, so the scenarios stay independent while
 the expensive simulation runs once.
 """
 
+import collections
+import sys
 import threading
 import time
 
@@ -137,13 +139,13 @@ class TestBackpressure:
 
         config = ServiceConfig(
             queue_capacity=2, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
+            max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         accepted, rejected = [], 0
         with service:
-            # Worker + dispatch + inbox can absorb only a handful; keep
-            # submitting until the bounded queue pushes back.
+            # Worker + inbox can absorb only a handful; keep submitting
+            # until the bounded queue pushes back.
             for _ in range(16):
                 try:
                     accepted.append(service.submit(test[0]))
@@ -174,6 +176,40 @@ class TestBackpressure:
             with pytest.raises(DeadlineExceededError):
                 doomed.result(timeout=30.0)
             assert service.snapshot()["counters"]["requests.expired"] == 1
+
+
+class TestWorkerPull:
+    def test_concurrent_pullers_resolve_every_request_once(self, deployment):
+        """More worker threads than cores pull from one inbox: every
+        request runs exactly once and resolves to its own label."""
+        wimi, _, _ = deployment
+        seen = collections.Counter()
+        lock = threading.Lock()
+
+        def echo(view, sessions):
+            with lock:
+                seen.update(sessions)
+            return [str(s) for s in sessions]
+
+        requests = list(range(400))
+        config = ServiceConfig(
+            num_workers=8, queue_capacity=len(requests), max_batch_size=4,
+            max_wait_s=0.001,
+        )
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with IdentificationService(wimi, config, runner=echo) as service:
+                handles = service.submit_many(requests)
+                labels = [h.result(timeout=30.0) for h in handles]
+                snap = service.snapshot()
+        finally:
+            sys.setswitchinterval(previous)
+        assert labels == [str(r) for r in requests]
+        assert seen == collections.Counter(requests)
+        assert snap["counters"]["requests.completed"] == len(requests)
+        batches = snap["histograms"]["batch_size"]
+        assert round(batches["count"] * batches["mean"]) == len(requests)
 
 
 class TestFaultIsolation:
@@ -277,8 +313,7 @@ class TestHandles:
             return default_runner(view, sessions)
 
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, dispatch_depth=1,
-            max_wait_s=0.0,
+            num_workers=1, max_batch_size=1, max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         service.start()
@@ -346,8 +381,7 @@ class TestHandleEdges:
             return default_runner(view, sessions)
 
         config = ServiceConfig(
-            num_workers=1, max_batch_size=1, dispatch_depth=1,
-            max_wait_s=0.0,
+            num_workers=1, max_batch_size=1, max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         service.start()
@@ -395,7 +429,7 @@ class TestAdmissionControl:
 
         config = ServiceConfig(
             queue_capacity=10, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
+            max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         shed = 0
@@ -429,7 +463,7 @@ class TestAdmissionControl:
 
         config = ServiceConfig(
             queue_capacity=4, max_batch_size=1, num_workers=1,
-            dispatch_depth=1, max_wait_s=0.0,
+            max_wait_s=0.0,
         )
         service = IdentificationService(wimi, config, runner=stalled)
         with service:
