@@ -1,26 +1,22 @@
-"""Command-line interface: figures, cache and serving benchmarks.
+"""Command-line interface: figures and the benchmark suites.
 
 Usage::
 
-    python -m repro list                 # what can be regenerated
-    python -m repro fig15                # ten-liquid confusion matrix
-    python -m repro fig17 --seed 3       # distance sweep, another deployment
-    python -m repro all --seed 1         # every figure, in order
-    python -m repro bench-cache          # stage-cache hit rates
-    python -m repro serve-bench          # online-service load benchmark
-    python -m repro perf-bench --smoke   # perf-regression suite (CI size)
-    python -m repro stream-bench         # streaming vs batch latency
-    python -m repro robustness-bench     # accuracy-under-fault sweeps
+    python -m repro list                        # what can be regenerated
+    python -m repro fig15                       # ten-liquid confusion
+    python -m repro fig17 --seed 3              # another deployment
+    python -m repro all --seed 1                # every figure, in order
+    python -m repro bench --suite perf --smoke  # one suite, CI-sized
+    python -m repro bench-compare --compare-old A.json --compare-new B.json
     python -m repro --version
 
 Every figure command prints the same rows/series the paper's figure
-plots, via :mod:`repro.experiments.reporting`.  ``bench-cache`` runs a
-small identification workload through the stage-graph engine twice and
-reports per-stage memoization hit rates; ``serve-bench`` replays a
-synthetic multi-material workload through the
-:class:`repro.serve.IdentificationService` and prints the serving
-dashboard (throughput, latency percentiles, batch sizes, cache hit
-rates, rejections/retries).
+plots, via :mod:`repro.experiments.reporting`.  ``bench`` runs one
+suite of the :data:`repro.experiments.bench.SUITES` registry (``perf``,
+``stream``, ``precision``, ``warm``, ``cluster``, ``soak``,
+``robustness``), writes its JSON report and exits non-zero when one of
+its correctness gates fails or a gated timing regressed against the
+committed baseline.
 
 All subcommands live in one :data:`COMMANDS` registry; ``list`` and the
 help text are generated from it, and an unknown subcommand exits with a
@@ -33,6 +29,7 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
+from repro.experiments import bench
 from repro.experiments import figures as F
 from repro.experiments import reporting as R
 
@@ -171,333 +168,36 @@ def _fig21(args) -> str:
     )
 
 
-def _bench_cache(args) -> str:
-    """``repro bench-cache``: report stage-graph memoization hit rates.
-
-    Runs a small fit + identify workload, then identifies the same test
-    sessions a second time, and prints per-stage executions vs cache
-    hits.  The second pass must execute zero denoiser/calibrator stages.
-    """
-    from repro.channel.materials import default_catalog
-    from repro.core.feature import theory_reference_omegas
-    from repro.core.pipeline import WiMi
-    from repro.engine import StageCounter
-    from repro.experiments.datasets import (
-        collect_dataset,
-        split_dataset,
-        standard_scene,
+def _bench(args) -> str:
+    """``repro bench --suite NAME``: run, record and gate one suite
+    (see :func:`repro.experiments.bench.execute`); exits non-zero when
+    its check fails or a gated timing regressed."""
+    passed, report = bench.execute(
+        args.suite,
+        smoke=args.smoke,
+        output=args.output,
+        baseline=args.baseline,
+        max_regression=args.max_regression,
+        progress=lambda name: print(f"  running {name}...", flush=True),
+        seed=args.seed,
+        workers=args.workers,
+        store_path=args.store_path,
     )
-
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    dataset = collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=6,
-        num_packets=10, seed=args.seed,
-    )
-    train, test = split_dataset(dataset)
-
-    wimi = WiMi(theory_reference_omegas(materials))
-    counter = StageCounter()
-    wimi.engine.add_hook(counter)
-
-    wimi.fit(train)
-    first = wimi.identify_batch(test)
-    pass1_denoise = counter.executions.get("amplitude_denoise", 0)
-    counter.reset()
-    second = wimi.identify_batch(test)
-    pass2_denoise = counter.executions.get("amplitude_denoise", 0)
-
-    lines = [
-        f"bench-cache -- stage memoization over one deployment "
-        f"(seed {args.seed}, {len(train)} train / {len(test)} test)",
-        f"  {'stage':<22} {'executions':>10} {'memory':>8} {'disk':>6} "
-        f"{'hit rate':>9}",
-    ]
-    for stage, stats in sorted(wimi.cache.snapshot().items()):
-        lines.append(
-            f"  {stage:<22} {stats['misses']:>10d} "
-            f"{stats['memory_hits']:>8d} {stats['disk_hits']:>6d} "
-            f"{stats['hit_rate']:>8.1%}"
-        )
-    lines.append(
-        f"  denoiser stage executions: first identify pass "
-        f"{pass1_denoise}, repeat pass {pass2_denoise}"
-    )
-    lines.append(
-        "  repeat-pass predictions identical: "
-        f"{'yes' if first == second else 'NO'}"
-    )
-    return "\n".join(lines)
-
-
-def _serve_bench(args) -> str:
-    """``repro serve-bench``: load-test the online identification service.
-
-    Builds one deployment, fits a WiMi, then replays a repeated
-    multi-material workload two ways: sequentially with a cold artifact
-    cache per request (the one-shot, no-service status quo) and through
-    :class:`repro.serve.IdentificationService` (bounded queue -> worker
-    threads that each pull their own micro-batch, over one shared stage
-    cache).  Prints
-    throughput, latency percentiles, the batch-size distribution,
-    per-stage cache hit rates and the rejection/retry counters.
-    """
-    import time
-
-    from repro.channel.materials import default_catalog
-    from repro.core.feature import theory_reference_omegas
-    from repro.core.pipeline import WiMi
-    from repro.engine import StageCache
-    from repro.experiments.datasets import (
-        collect_dataset,
-        split_dataset,
-        standard_scene,
-    )
-    from repro.serve import IdentificationService, ServiceConfig
-
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    dataset = collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=6,
-        num_packets=10, seed=args.seed,
-    )
-    train, test = split_dataset(dataset)
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-
-    # Repeated-material workload: every test session arrives args.repeat
-    # times, interleaved, like many deployed links re-measuring.
-    workload = [s for _ in range(args.repeat) for s in test]
-
-    t0 = time.perf_counter()
-    sequential = [
-        wimi.clone_view(cache=StageCache()).identify(s) for s in workload
-    ]
-    sequential_s = time.perf_counter() - t0
-
-    service = IdentificationService(
-        wimi,
-        ServiceConfig(
-            queue_capacity=args.queue_capacity,
-            max_batch_size=args.batch_size,
-            num_workers=args.workers,
-        ),
-    )
-    t0 = time.perf_counter()
-    with service:
-        handles = [service.submit(s) for s in workload]
-        served = [h.result(timeout=60.0) for h in handles]
-    served_s = time.perf_counter() - t0
-
-    snap = service.snapshot()
-    latency = snap["histograms"]["latency_ms"]
-    batches = snap["histograms"]["batch_size"]
-    counters = snap["counters"]
-
-    lines = [
-        f"serve-bench -- {len(workload)} requests "
-        f"({len(test)} distinct sessions x{args.repeat}, seed {args.seed}), "
-        f"{args.workers} workers, batch<= {args.batch_size}, "
-        f"queue {args.queue_capacity}",
-        f"  sequential (cold cache/request): {sequential_s:.3f}s  "
-        f"({len(workload) / sequential_s:7.1f} req/s)",
-        f"  service (micro-batched):         {served_s:.3f}s  "
-        f"({len(workload) / served_s:7.1f} req/s)",
-        f"  speedup: {sequential_s / served_s:.1f}x"
-        f"  predictions identical: {'yes' if served == sequential else 'NO'}",
-        f"  latency ms: p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
-        f"p99 {latency['p99']:.2f}  max {latency['max']:.2f}",
-        f"  batches: {batches['count']} dispatched, mean size "
-        f"{batches['mean']:.2f}, size histogram {batches['buckets']}",
-        f"  requests: {counters['requests.completed']} completed, "
-        f"{counters['requests.failed']} failed, "
-        f"{counters['requests.rejected']} rejected, "
-        f"{counters['requests.retries']} retries, "
-        f"{counters['requests.expired']} expired",
-        f"  cache tiers: {counters['cache.memory_hits']} memory hits, "
-        f"{counters['cache.disk_hits']} disk hits, "
-        f"{counters['cache.misses']} misses",
-        "  stage cache (shared across workers):",
-    ]
-    for stage, stats in sorted(snap["stage_cache"].items()):
-        lines.append(
-            f"    {stage:<22} {stats['misses']:>6d} exec "
-            f"{stats['memory_hits']:>7d} mem {stats['disk_hits']:>5d} disk "
-            f"{stats['hit_rate']:>8.1%}"
-        )
-    if "artifact_store" in snap:
-        store = snap["artifact_store"]
-        lines.append(
-            f"  artifact store: {store['hits']} hits, {store['misses']} "
-            f"misses, {store['writes']} writes, {store['corrupt']} corrupt"
-        )
-    if args.json_out:
-        import json as json_module
-        from pathlib import Path
-
-        Path(args.json_out).write_text(
-            json_module.dumps(
-                {
-                    "schema": 1,
-                    "benchmark": "serve",
-                    "requests": len(workload),
-                    "workers": args.workers,
-                    "sequential_s": sequential_s,
-                    "served_s": served_s,
-                    "predictions_identical": served == sequential,
-                    "metrics": snap,
-                },
-                indent=2, sort_keys=True, default=str,
-            ) + "\n"
-        )
-        lines.append(f"  metrics snapshot written to {args.json_out}")
-    return "\n".join(lines)
-
-
-def _perf_bench(args) -> str:
-    """``repro perf-bench``: run the fixed performance suite.
-
-    Times the vectorised hot paths against their in-tree scalar
-    references, writes/merges the JSON report (``--output``), and
-    compares against the committed baseline (``--baseline``), exiting
-    non-zero when any benchmark regressed beyond ``--max-regression``.
-    """
-    from repro.experiments import perfbench
-
-    mode = "smoke" if args.smoke else "full"
-    baseline = perfbench.load_report(args.baseline)
-    results = perfbench.run_suite(
-        mode, progress=lambda name: print(f"  running {name}...", flush=True)
-    )
-    perfbench.write_report(args.output, mode, results)
-    regressions = perfbench.compare_to_baseline(
-        results, baseline, mode, args.max_regression
-    )
-    report = perfbench.render_report(mode, results, regressions)
-    report += f"\n  report written to {args.output}"
-    if regressions:
-        raise SystemExit(report)
-    return report
-
-
-def _stream_bench(args) -> str:
-    """``repro stream-bench``: streaming-vs-batch latency suite.
-
-    Replays test sessions packet-by-packet through the streaming
-    extractor, measuring time-to-first-estimate and the bounded
-    per-packet step against the trace-proportional batch identify
-    latency.  Writes/merges the JSON report (``--stream-output``) and
-    compares the gated timings against the committed baseline
-    (``--stream-baseline``), exiting non-zero when any regressed beyond
-    ``--stream-max-regression``.
-    """
-    from repro.experiments import streambench
-
-    mode = "smoke" if args.smoke else "full"
-    baseline = streambench.load_report(args.stream_baseline)
-    results = streambench.run_suite(
-        mode, progress=lambda name: print(f"  running {name}...", flush=True)
-    )
-    streambench.write_report(args.stream_output, mode, results)
-    regressions = streambench.compare_to_baseline(
-        results, baseline, mode, args.stream_max_regression
-    )
-    report = streambench.render_report(mode, results, regressions)
-    report += f"\n  report written to {args.stream_output}"
-    if regressions:
-        raise SystemExit(report)
-    return report
-
-
-def _precision_bench(args) -> str:
-    """``repro precision-bench``: float32-vs-float64 compute-path suite.
-
-    Times the reduced-precision kernels (denoiser, simulator compute
-    pass, shared Gram) against the default float64 paths, runs the
-    paper identification scenario end to end at both precisions, and
-    measures the ring-buffer window-assembly allocation peak against
-    the list-of-arrays scheme.  Writes/merges the JSON report
-    (``--precision-output``), compares timings against the committed
-    baseline (``--precision-baseline``), and exits non-zero on any gate
-    failure: float32 accuracy below float64, assembly allocating more
-    than the old scheme, a full-suite kernel speedup under the floor,
-    or a timing regression beyond ``--precision-max-regression``.
-    """
-    from repro.experiments import precisionbench
-
-    mode = "smoke" if args.smoke else "full"
-    baseline = precisionbench.load_report(args.precision_baseline)
-    results = precisionbench.run_suite(
-        mode, progress=lambda name: print(f"  running {name}...", flush=True)
-    )
-    precisionbench.write_report(args.precision_output, mode, results)
-    regressions = precisionbench.compare_to_baseline(
-        results, baseline, mode, args.precision_max_regression
-    )
-    failures = precisionbench.check_results(results, mode)
-    report = precisionbench.render_report(mode, results, regressions, failures)
-    report += f"\n  report written to {args.precision_output}"
-    if regressions or failures:
+    if not passed:
         raise SystemExit(report)
     return report
 
 
 def _bench_compare(args) -> str:
-    """``repro bench-compare``: diff two benchmark JSON reports.
-
-    Compares per-suite timings and speedups between two reports sharing
-    the ``{"suites": {mode: {benchmark: ...}}}`` layout (e.g. a
-    committed ``BENCH_PR9.json`` against a freshly written one),
-    highlighting benchmarks whose timing moved beyond
-    ``--compare-threshold`` in either direction.  Exits non-zero when
-    any benchmark regressed.
-    """
-    from repro.experiments import perfbench
-
-    old = perfbench.load_report(args.compare_old)
-    new = perfbench.load_report(args.compare_new)
-    missing = [
-        path
-        for path, report in (
-            (args.compare_old, old),
-            (args.compare_new, new),
-        )
-        if report is None
-    ]
-    if missing:
-        raise SystemExit(
-            "bench-compare: not a readable benchmark report: "
-            + ", ".join(missing)
-        )
-    diff = perfbench.diff_reports(old, new, args.compare_threshold)
-    report = perfbench.render_diff(diff, args.compare_old, args.compare_new)
-    regressed = any(
-        entry.get("status") == "regressed"
-        for suite in diff["suites"].values()
-        for entry in suite["benchmarks"].values()
+    """``repro bench-compare``: diff two benchmark JSON reports on every
+    gated timing (e.g. a committed ``BENCH_PR9.json`` against a fresh
+    one); exits non-zero when a timing regressed beyond
+    ``--compare-threshold`` or a report is unreadable."""
+    passed, report = bench.compare_files(
+        args.compare_old, args.compare_new, args.compare_threshold
     )
-    if regressed:
+    if not passed:
         raise SystemExit(report)
-    return report
-
-
-def _robustness_bench(args) -> str:
-    """``repro robustness-bench``: accuracy-under-fault sweeps.
-
-    Runs the packet-loss and antenna-dropout sweeps (clean training,
-    fault-injected test captures) and writes the JSON artifact
-    (``--robustness-output``) committed alongside ``BENCH_PR4.json``.
-    """
-    from repro.experiments import robustness
-
-    results = robustness.run_suite(
-        workers=args.workers,
-        seed=args.seed,
-        progress=lambda name: print(f"  sweeping {name}...", flush=True),
-    )
-    robustness.write_report(args.robustness_output, results)
-    report = robustness.render_report(results)
-    report += f"\n  report written to {args.robustness_output}"
     return report
 
 
@@ -546,88 +246,6 @@ def _store(args) -> str:
     return "\n".join(lines)
 
 
-def _warm_bench(args) -> str:
-    """``repro warm-bench``: cold train-and-serve vs registry warm start.
-
-    Populates the artifact store and model registry under
-    ``--store-path``, restores a second pipeline the way a restarted
-    process would, verifies bit-identical predictions with zero warm
-    stage executions, and writes the committed JSON artifact
-    (``--warm-output``).
-    """
-    from repro.experiments import warmbench
-
-    root = args.store_path
-    results = warmbench.run_warm_bench(
-        store_path=f"{root}/store",
-        registry_path=f"{root}/registry",
-        seed=args.seed,
-        progress=lambda name: print(f"  {name}...", flush=True),
-    )
-    warmbench.write_report(args.warm_output, results)
-    report = warmbench.render_report(results)
-    report += f"\n  report written to {args.warm_output}"
-    return report
-
-
-def _cluster_bench(args) -> str:
-    """``repro cluster-bench``: sharded worker processes vs the thread
-    service, plus the SIGKILL-a-worker survival check.
-
-    Runs the wide re-measurement workload through both serving stacks,
-    kills one worker process mid-load, and writes the committed JSON
-    artifact (``--cluster-output``).  ``--smoke`` shrinks the workload
-    to CI size (correctness and survival only; the throughput regime is
-    recorded in the report).
-    """
-    from repro.experiments import clusterbench
-
-    repetitions = (
-        clusterbench.SMOKE_REPETITIONS if args.smoke
-        else clusterbench.DEFAULT_REPETITIONS
-    )
-    results = clusterbench.run_cluster_bench(
-        seed=args.seed,
-        repetitions=repetitions,
-        workers=args.workers,
-        progress=lambda name: print(f"  {name}...", flush=True),
-    )
-    clusterbench.write_report(args.cluster_output, results)
-    report = clusterbench.render_report(results)
-    report += f"\n  report written to {args.cluster_output}"
-    return report
-
-
-def _soak_bench(args) -> str:
-    """``repro soak-bench``: chaos soak of the failure-control plane.
-
-    Drives one sharded cluster through the scripted chaos schedule
-    (kills, store bit-flips, load spikes, deadline abuse, hedging) and
-    writes the committed JSON artifact (``--soak-output``).  Exits
-    non-zero unless every gate holds: zero lost requests, fault-free
-    predictions, and every resilience mechanism observed firing.
-    ``--smoke`` shrinks the workload to CI size.
-    """
-    from repro.experiments import soakbench
-
-    repetitions = (
-        soakbench.SMOKE_REPETITIONS if args.smoke
-        else soakbench.DEFAULT_REPETITIONS
-    )
-    results = soakbench.run_soak_bench(
-        seed=args.seed,
-        repetitions=repetitions,
-        workers=args.workers,
-        progress=lambda name: print(f"  {name}...", flush=True),
-    )
-    soakbench.write_report(args.soak_output, results)
-    report = soakbench.render_report(results)
-    report += f"\n  report written to {args.soak_output}"
-    if not results["gates_passed"]:
-        raise SystemExit(report)
-    return report
-
-
 class Command(NamedTuple):
     """One registered subcommand."""
 
@@ -656,46 +274,15 @@ COMMANDS: dict[str, Command] = {
     "fig19": Command(_fig19, "container-size sweep"),
     "fig20": Command(_fig20, "container-material comparison"),
     "fig21": Command(_fig21, "antenna-pair accuracy"),
-    "bench-cache": Command(
-        _bench_cache, "stage-graph memoization hit rates", in_all=False
-    ),
-    "serve-bench": Command(
-        _serve_bench, "online identification service load benchmark",
-        in_all=False,
-    ),
-    "cluster-bench": Command(
-        _cluster_bench, "multi-process cluster vs single-process service",
-        in_all=False,
-    ),
-    "perf-bench": Command(
-        _perf_bench, "vectorised-kernel performance regression suite",
-        in_all=False,
-    ),
-    "stream-bench": Command(
-        _stream_bench, "streaming time-to-first-estimate vs batch latency",
-        in_all=False,
-    ),
-    "precision-bench": Command(
-        _precision_bench, "float32 compute paths vs float64 baselines",
+    "bench": Command(
+        _bench, "run one benchmark suite (--suite) and gate it",
         in_all=False,
     ),
     "bench-compare": Command(
         _bench_compare, "diff two benchmark JSON reports", in_all=False
     ),
-    "robustness-bench": Command(
-        _robustness_bench, "accuracy-under-fault sweeps (loss, dead antenna)",
-        in_all=False,
-    ),
     "store": Command(
         _store, "inspect/gc the persistent artifact store", in_all=False
-    ),
-    "warm-bench": Command(
-        _warm_bench, "cold train-and-serve vs registry warm start",
-        in_all=False,
-    ),
-    "soak-bench": Command(
-        _soak_bench, "chaos soak of the failure-control plane",
-        in_all=False,
     ),
 }
 
@@ -723,84 +310,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--seed", type=int, default=1, help="deployment seed (default 1)"
+        "--seed", type=int, default=1,
+        help="deployment seed of the figures and the warm, cluster, soak "
+        "and robustness suites (default 1)",
     )
-    serve = parser.add_argument_group("serve-bench options")
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="service worker threads (default 2)",
+    suite = parser.add_argument_group("bench options")
+    suite.add_argument(
+        "--suite", choices=sorted(bench.SUITES), default="perf",
+        help="benchmark suite to run (default perf)",
     )
-    serve.add_argument(
-        "--batch-size", type=int, default=8,
-        help="micro-batch size limit (default 8)",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="bounded request queue depth (default 64)",
-    )
-    serve.add_argument(
-        "--repeat", type=int, default=4,
-        help="times each distinct session re-arrives (default 4)",
-    )
-    serve.add_argument(
-        "--json-out", default=None,
-        help="also write the full metrics snapshot as JSON to this path",
-    )
-    cluster = parser.add_argument_group("cluster-bench options")
-    cluster.add_argument(
-        "--cluster-output", default="BENCH_PR7.json",
-        help="cluster-bench JSON artifact to write (default BENCH_PR7.json)",
-    )
-    soak = parser.add_argument_group("soak-bench options")
-    soak.add_argument(
-        "--soak-output", default="SOAK_PR10.json",
-        help="soak-bench JSON artifact to write (default SOAK_PR10.json)",
-    )
-    perf = parser.add_argument_group("perf-bench options")
-    perf.add_argument(
+    suite.add_argument(
         "--smoke", action="store_true",
-        help="run the small CI-sized suite instead of the full one",
+        help="run the small CI-sized workloads instead of the full ones",
     )
-    perf.add_argument(
-        "--output", default="BENCH_PR4.json",
-        help="JSON report to write/merge (default BENCH_PR4.json)",
+    suite.add_argument(
+        "--output", default=None,
+        help="JSON report to write/merge (default: the suite's committed "
+        "artifact, e.g. BENCH_PR4.json for perf)",
     )
-    perf.add_argument(
-        "--baseline", default="BENCH_PR4.json",
-        help="committed report to compare against (default BENCH_PR4.json)",
+    suite.add_argument(
+        "--baseline", default=None,
+        help="committed report to compare against (default: the suite's "
+        "committed artifact)",
     )
-    perf.add_argument(
-        "--max-regression", type=float, default=2.0,
-        help="fail when new_s exceeds this multiple of the baseline's "
-        "(default 2.0; <= 0 disables the gate)",
+    suite.add_argument(
+        "--max-regression", type=float, default=None,
+        help="fail when a gated timing exceeds this multiple of the "
+        "baseline's (default: the suite's, 2.0 perf/precision, 3.0 "
+        "stream; <= 0 disables the gate)",
     )
-    stream = parser.add_argument_group("stream-bench options")
-    stream.add_argument(
-        "--stream-output", default="BENCH_PR8.json",
-        help="JSON report to write/merge (default BENCH_PR8.json)",
-    )
-    stream.add_argument(
-        "--stream-baseline", default="BENCH_PR8.json",
-        help="committed report to compare against (default BENCH_PR8.json)",
-    )
-    stream.add_argument(
-        "--stream-max-regression", type=float, default=3.0,
-        help="fail when a gated streaming timing exceeds this multiple of "
-        "the baseline's (default 3.0; <= 0 disables the gate)",
-    )
-    precision = parser.add_argument_group("precision-bench options")
-    precision.add_argument(
-        "--precision-output", default="BENCH_PR9.json",
-        help="JSON report to write/merge (default BENCH_PR9.json)",
-    )
-    precision.add_argument(
-        "--precision-baseline", default="BENCH_PR9.json",
-        help="committed report to compare against (default BENCH_PR9.json)",
-    )
-    precision.add_argument(
-        "--precision-max-regression", type=float, default=2.0,
-        help="fail when new_s exceeds this multiple of the baseline's "
-        "(default 2.0; <= 0 disables the gate)",
+    suite.add_argument(
+        "--workers", type=int, default=2,
+        help="worker threads/processes of the serving, cluster, soak and "
+        "robustness workloads (default 2)",
     )
     compare = parser.add_argument_group("bench-compare options")
     compare.add_argument(
@@ -812,16 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="newer report to diff against it (default BENCH_PR9.json)",
     )
     compare.add_argument(
-        "--compare-threshold", type=float, default=1.25,
+        "--compare-threshold", type=float,
+        default=bench.DEFAULT_DIFF_THRESHOLD,
         help="flag benchmarks whose timing moved beyond this factor "
         "(default 1.25; <= 0 reports deltas without flagging)",
     )
-    robust = parser.add_argument_group("robustness-bench options")
-    robust.add_argument(
-        "--robustness-output", default="ROBUSTNESS_PR5.json",
-        help="JSON sweep artifact to write (default ROBUSTNESS_PR5.json)",
-    )
-    persist = parser.add_argument_group("store / warm-bench options")
+    persist = parser.add_argument_group("store / warm suite options")
     persist.add_argument(
         "--store-path", default=".wimi-store",
         help="artifact store / registry root directory "
@@ -830,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     persist.add_argument(
         "--gc", action="store_true",
         help="store: also prune stale temp files and corrupt entries",
-    )
-    persist.add_argument(
-        "--warm-output", default="BENCH_PR6.json",
-        help="warm-bench JSON artifact to write (default BENCH_PR6.json)",
     )
     return parser
 

@@ -21,7 +21,7 @@ aggregates per-worker metrics into one dashboard.
   ``submit()/identify()`` facade mirroring
   :class:`repro.serve.IdentificationService`.
 
-``repro cluster-bench`` measures the cluster against the
+``repro bench --suite cluster`` measures the cluster against the
 single-process service and commits ``BENCH_PR7.json``.
 """
 

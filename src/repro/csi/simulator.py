@@ -406,7 +406,7 @@ class CsiSimulator:
         """Original per-packet capture loop.
 
         Still the implementation of record for moving targets, and the
-        baseline the equivalence tests and perf-bench compare against.
+        baseline the equivalence tests and the perf suite compare against.
         """
         if num_packets < 0:
             raise ValueError(f"num_packets must be >= 0, got {num_packets}")

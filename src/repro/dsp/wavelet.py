@@ -425,7 +425,7 @@ def iswt(
 
 # ----------------------------------------------------------------------
 # Scalar reference implementations (pre-vectorization), kept for the
-# bit-equivalence regression tests and the perf-bench baseline.
+# bit-equivalence regression tests and the perf suite's baseline.
 # ----------------------------------------------------------------------
 
 

@@ -36,7 +36,7 @@ of a CSI trace -- the pipeline's hot path.  Per-channel results equal
 the corresponding 1-D call to within floating-point summation order
 (<= 1e-9; see ``tests/test_perf_equivalence.py``).  The original scalar
 implementations are kept as ``_reference_*`` for the equivalence tests
-and the perf-bench baseline.
+and the perf suite's baseline.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ class SpatiallySelectiveDenoiser:
 
     # ------------------------------------------------------------------
     # Scalar reference path (pre-vectorization), for equivalence tests
-    # and the perf-bench baseline.
+    # and the perf suite's baseline.
     # ------------------------------------------------------------------
 
     def _reference_denoise(self, x: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ tier (any object with ``get(stage, key) -> artifact | None`` and
 :class:`repro.persist.ArtifactStore`).  Lookups fall through
 memory -> disk -> compute; disk hits are promoted into the memory LRU,
 and computed artifacts are written through to both tiers.  Per-stage
-statistics distinguish the tiers so ``repro bench-cache`` and the serve
-metrics can report memory vs disk vs compute.
+statistics distinguish the tiers so the ``warm`` benchmark suite and the
+serve metrics can report memory vs disk vs compute.
 
 The cache still supports sharing across several ``WiMi`` instances
 (the experiment runner's classifier sweeps reuse calibration and
@@ -48,7 +48,7 @@ class StageStats:
     """Per-tier hit/miss counters of one stage.
 
     ``hits`` (all tiers combined) is kept as a property so existing
-    consumers -- tests, ``bench-cache`` renderers, perf baselines --
+    consumers -- tests, benchmark renderers, perf baselines --
     keep reading the same number they always did.
     """
 
@@ -82,21 +82,13 @@ class StageEvent:
         cache_hit: True when the artifact came from any cache tier;
             False when the stage actually executed.
         tier: Which tier satisfied the resolution -- ``"memory"``,
-            ``"disk"`` or ``"compute"``.  Defaults from ``cache_hit``
-            (hit -> memory) so pre-tier call sites and tests that build
-            events by hand stay valid.
+            ``"disk"`` or ``"compute"``.
     """
 
     stage: str
     key: str
     cache_hit: bool
-    tier: str = ""
-
-    def __post_init__(self):
-        if not self.tier:
-            object.__setattr__(
-                self, "tier", TIER_MEMORY if self.cache_hit else TIER_COMPUTE
-            )
+    tier: str
 
 
 class StageCache:

@@ -1,22 +1,18 @@
-"""Performance-regression harness behind ``repro perf-bench``.
+"""The ``perf`` suite of ``repro bench``: vectorised kernels vs references.
 
-Runs a fixed suite of benchmarks over the hot paths this codebase
-vectorised -- batched wavelet denoising, the CSI simulator, batched
-feature extraction, SMO training, the end-to-end identification sweep
-and the online serving layer -- and writes the timings to a JSON report
-(:data:`DEFAULT_OUTPUT`, committed at the repo root).
+Times the hot paths this codebase vectorised -- batched wavelet
+denoising, the CSI simulator, batched feature extraction, SMO training,
+the end-to-end identification sweep and the online serving layer --
+against their in-tree scalar references (``_reference_*``), so the
+report (``BENCH_PR4.json``) carries both absolute timings and the
+speedup the vectorised kernels deliver.
 
-Each benchmark times the *current* implementation against its in-tree
-scalar reference (``_reference_*``), so the report carries both absolute
-timings and the speedup the vectorised kernels deliver, and it verifies
-on every run that the two implementations still agree numerically.
-
-The committed report doubles as the regression baseline: a later run
-(e.g. the CI ``perf-smoke`` job) compares its own ``new_s`` timings
-against the committed ones and fails when any benchmark got more than
-``max_regression`` times slower.  Timings for the ``smoke`` and ``full``
-suites are stored separately so a smoke run is only ever compared
-against committed smoke numbers.
+:func:`check` verifies on every run that the two implementations still
+agree numerically, to DESIGN.md §9's scalar-reference tolerance
+(:data:`EQUIVALENCE_TOLERANCE`): denoise/simulate/extract differences,
+SMO prediction agreement, and served labels equal to the sequential
+ones.  The baseline gate fails a run whose ``new_s`` exceeds twice the
+committed smoke/full number.
 
 Latency percentiles for the serving benchmark come from the same
 :class:`repro.serve.metrics.Histogram` instruments the service exports
@@ -26,10 +22,9 @@ keeping its own sample buffers.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -39,20 +34,19 @@ from repro.core.pipeline import WiMi
 from repro.csi.simulator import CsiSimulator
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser
 from repro.engine.cache import StageCache
-from repro.experiments.datasets import (
-    collect_dataset,
-    split_dataset,
-    standard_scene,
+from repro.experiments.bench import (
+    Suite,
+    best_of,
+    lab_split,
+    speedup_table,
+    violations,
 )
+from repro.experiments.datasets import standard_scene
 from repro.experiments.runner import mean_accuracy_over_seeds
 from repro.ml.svm import BinarySVC
 
-#: Report written by ``repro perf-bench`` and committed as the baseline.
-DEFAULT_OUTPUT = "BENCH_PR4.json"
-
-#: Default regression gate: fail when a benchmark's ``new_s`` exceeds
-#: this multiple of the committed baseline's.
-DEFAULT_MAX_REGRESSION = 2.0
+#: Largest vectorised-vs-reference difference :func:`check` accepts.
+EQUIVALENCE_TOLERANCE = 1e-9
 
 #: Per-suite workload sizes.  Smoke is sized for CI (seconds overall but
 #: still >= tens of milliseconds per benchmark, so a 2x gate is not
@@ -68,6 +62,7 @@ _SIZES = {
         "identify_repetitions": 4,
         "identify_packets": 6,
         "serve_repeat": 2,
+        "workers": 2,
         "repeats": 1,
     },
     "full": {
@@ -80,19 +75,10 @@ _SIZES = {
         "identify_repetitions": 6,
         "identify_packets": 10,
         "serve_repeat": 4,
+        "workers": 2,
         "repeats": 3,
     },
 }
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Minimum wall-clock seconds over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 @contextmanager
@@ -149,8 +135,8 @@ def bench_denoise(sizes: dict) -> dict:
     reference = np.column_stack(
         [denoiser._reference_denoise(x[:, k]) for k in range(num_channels)]
     )
-    new_s = _best_of(lambda: denoiser.denoise(x), sizes["repeats"])
-    baseline_s = _best_of(
+    new_s = best_of(lambda: denoiser.denoise(x), sizes["repeats"])
+    baseline_s = best_of(
         lambda: [
             denoiser._reference_denoise(x[:, k]) for k in range(num_channels)
         ],
@@ -181,8 +167,8 @@ def bench_simulate(sizes: dict) -> dict:
     new_csi = run_new().matrix()
     ref_csi = run_reference().matrix()
     scale = float(np.max(np.abs(ref_csi)))
-    new_s = _best_of(run_new, sizes["repeats"])
-    baseline_s = _best_of(run_reference, sizes["repeats"])
+    new_s = best_of(run_new, sizes["repeats"])
+    baseline_s = best_of(run_reference, sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -193,19 +179,10 @@ def bench_simulate(sizes: dict) -> dict:
 
 
 def _extract_workload(sizes: dict):
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    dataset = collect_dataset(
-        materials,
-        scene=standard_scene("lab"),
-        repetitions=sizes["extract_repetitions"],
-        num_packets=sizes["extract_packets"],
-        seed=0,
+    materials, train, test = lab_split(
+        sizes["extract_repetitions"], sizes["extract_packets"]
     )
-    train, test = split_dataset(dataset)
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-    return wimi, test
+    return WiMi(theory_reference_omegas(materials)).fit(train), test
 
 
 def bench_extract_batch(sizes: dict) -> dict:
@@ -226,8 +203,8 @@ def bench_extract_batch(sizes: dict) -> dict:
         abs(a.omega_mean - b.omega_mean)
         for a, b in zip(new_features, ref_features)
     )
-    new_s = _best_of(run_new, sizes["repeats"])
-    baseline_s = _best_of(run_reference, sizes["repeats"])
+    new_s = best_of(run_new, sizes["repeats"])
+    baseline_s = best_of(run_reference, sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -253,8 +230,8 @@ def bench_train(sizes: dict) -> dict:
     new_svc = BinarySVC().fit(x, y)
     ref_svc = BinarySVC()._reference_fit(x, y)
     agreement = float(np.mean(new_svc.predict(x) == ref_svc.predict(x)))
-    new_s = _best_of(lambda: BinarySVC().fit(x, y), sizes["repeats"])
-    baseline_s = _best_of(
+    new_s = best_of(lambda: BinarySVC().fit(x, y), sizes["repeats"])
+    baseline_s = best_of(
         lambda: BinarySVC()._reference_fit(x, y), sizes["repeats"]
     )
     return {
@@ -296,8 +273,8 @@ def bench_identify(sizes: dict) -> dict:
 
     new_mean, new_accs = run_new()
     run_reference()
-    new_s = _best_of(run_new, sizes["repeats"])
-    baseline_s = _best_of(run_reference, sizes["repeats"])
+    new_s = best_of(run_new, sizes["repeats"])
+    baseline_s = best_of(run_reference, sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -325,7 +302,7 @@ def bench_serve(sizes: dict) -> dict:
     baseline_s = time.perf_counter() - t0
 
     service = IdentificationService(
-        wimi, ServiceConfig(num_workers=2, max_batch_size=8)
+        wimi, ServiceConfig(num_workers=sizes["workers"], max_batch_size=8)
     )
     t0 = time.perf_counter()
     with service:
@@ -347,231 +324,60 @@ def bench_serve(sizes: dict) -> dict:
     }
 
 
-_BENCHMARKS = (
-    ("denoise", bench_denoise),
-    ("simulate", bench_simulate),
-    ("extract_batch", bench_extract_batch),
-    ("train", bench_train),
-    ("identify", bench_identify),
-    ("serve", bench_serve),
-)
+def _cases(sizes: dict):
+    for name, bench in (
+        ("denoise", bench_denoise),
+        ("simulate", bench_simulate),
+        ("extract_batch", bench_extract_batch),
+        ("train", bench_train),
+        ("identify", bench_identify),
+        ("serve", bench_serve),
+    ):
+        yield name, partial(bench, sizes)
 
 
-# ----------------------------------------------------------------------
-# Suite driver, report I/O and baseline comparison
-# ----------------------------------------------------------------------
+def check(results: dict, mode: str) -> list[str]:
+    """Vectorised paths that stopped agreeing with their references."""
+    tol = EQUIVALENCE_TOLERANCE
+    beyond = "exceeds the scalar-reference tolerance"
+    return violations(results, (
+        ("denoise", lambda e: e["max_abs_diff"] <= tol,
+         "max_abs_diff {max_abs_diff:.3g} " + beyond),
+        ("simulate", lambda e: e["max_rel_diff"] <= tol,
+         "max_rel_diff {max_rel_diff:.3g} " + beyond),
+        ("extract_batch", lambda e: e["max_omega_diff"] <= tol,
+         "max_omega_diff {max_omega_diff:.3g} " + beyond),
+        ("train", lambda e: e["train_agreement"] >= 1.0,
+         "SMO agrees with the reference on {train_agreement:.1%}"),
+        ("serve", lambda e: e["predictions_identical"],
+         "served labels differ from the sequential ones"),
+    ))
 
 
-def run_suite(mode: str = "full", progress=None) -> dict:
-    """Run every benchmark at ``mode`` ("smoke" or "full") sizes."""
-    if mode not in _SIZES:
-        raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
-    sizes = _SIZES[mode]
-    results = {}
-    for name, bench in _BENCHMARKS:
-        if progress is not None:
-            progress(name)
-        results[name] = bench(sizes)
-    return results
-
-
-def load_report(path: str | Path) -> dict | None:
-    """The committed report at ``path``, or None when absent/unreadable."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return report if isinstance(report.get("suites"), dict) else None
-
-
-def write_report(path: str | Path, mode: str, results: dict) -> dict:
-    """Write/merge the report at ``path`` and return it.
-
-    Suites are stored side by side so a smoke-only run does not clobber
-    the committed full-suite timings.
-    """
-    report = load_report(path) or {"schema": 1, "suites": {}}
-    report["suites"][mode] = results
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def compare_to_baseline(
-    results: dict,
-    baseline: dict | None,
-    mode: str,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[tuple[str, float]]:
-    """Benchmarks whose ``new_s`` regressed beyond ``max_regression``.
-
-    Returns ``(name, ratio)`` pairs; empty when there is no committed
-    baseline for ``mode`` (first run) or nothing regressed.
-    """
-    if baseline is None or max_regression <= 0:
-        return []
-    committed = baseline.get("suites", {}).get(mode, {})
-    regressions = []
-    for name, current in results.items():
-        reference = committed.get(name)
-        if not reference or reference.get("new_s", 0) <= 0:
-            continue
-        ratio = current["new_s"] / reference["new_s"]
-        if ratio > max_regression:
-            regressions.append((name, ratio))
-    return regressions
-
-
-#: ``bench-compare`` default: flag a benchmark whose ``new_s`` grew (or
-#: shrank) by more than this factor between the two reports.
-DEFAULT_DIFF_THRESHOLD = 1.25
-
-
-def diff_reports(
-    old: dict, new: dict, threshold: float = DEFAULT_DIFF_THRESHOLD
-) -> dict:
-    """Structured diff of two benchmark reports (``repro bench-compare``).
-
-    Works on any report using the shared ``{"schema": 1, "suites":
-    {mode: {benchmark: {...}}}}`` layout (``BENCH_PR4.json``,
-    ``BENCH_PR9.json``, ...).  For every suite and benchmark present in
-    both reports the diff carries the ``new_s`` ratio (new report over
-    old) and the ``speedup`` delta when the entries record them;
-    benchmarks and suites on one side only are labelled
-    ``added``/``removed``.  A benchmark is ``regressed`` when its
-    timing ratio exceeds ``threshold``, ``improved`` below
-    ``1/threshold``, otherwise ``ok``.
-    """
-    suites: dict[str, dict] = {}
-    old_suites = old.get("suites", {})
-    new_suites = new.get("suites", {})
-    for mode in sorted(set(old_suites) | set(new_suites)):
-        a, b = old_suites.get(mode), new_suites.get(mode)
-        if a is None or b is None:
-            suites[mode] = {
-                "status": "removed" if b is None else "added",
-                "benchmarks": {},
-            }
-            continue
-        benches: dict[str, dict] = {}
-        for name in sorted(set(a) | set(b)):
-            ea, eb = a.get(name), b.get(name)
-            if ea is None or eb is None:
-                benches[name] = {
-                    "status": "removed" if eb is None else "added"
-                }
-                continue
-            entry: dict = {"status": "ok"}
-            old_t, new_t = ea.get("new_s"), eb.get("new_s")
-            if (
-                isinstance(old_t, (int, float))
-                and isinstance(new_t, (int, float))
-                and old_t > 0
-            ):
-                ratio = new_t / old_t
-                entry.update(
-                    {"old_s": old_t, "new_s": new_t, "time_ratio": ratio}
-                )
-                if threshold > 0 and ratio > threshold:
-                    entry["status"] = "regressed"
-                elif threshold > 0 and ratio < 1.0 / threshold:
-                    entry["status"] = "improved"
-            old_sp, new_sp = ea.get("speedup"), eb.get("speedup")
-            if isinstance(old_sp, (int, float)) and isinstance(
-                new_sp, (int, float)
-            ):
-                entry.update(
-                    {
-                        "old_speedup": old_sp,
-                        "new_speedup": new_sp,
-                        "speedup_delta": new_sp - old_sp,
-                    }
-                )
-            benches[name] = entry
-        suites[mode] = {"status": "both", "benchmarks": benches}
-    return {"threshold": threshold, "suites": suites}
-
-
-def render_diff(diff: dict, old_path: str, new_path: str) -> str:
-    """Human-readable rendering of a :func:`diff_reports` result."""
-    lines = [f"bench-compare -- {old_path} vs {new_path}"]
-    regressed = 0
-    for mode, suite in diff["suites"].items():
-        if suite["status"] != "both":
-            lines.append(
-                f"  {mode}: suite only in "
-                f"{new_path if suite['status'] == 'added' else old_path}"
-            )
-            continue
-        lines.append(f"  {mode} suite:")
-        lines.append(
-            f"    {'benchmark':<18} {'old':>9} {'new':>9} {'ratio':>7} "
-            f"{'speedup':>15}"
-        )
-        for name, entry in suite["benchmarks"].items():
-            if entry["status"] in ("added", "removed"):
-                lines.append(
-                    f"    {name:<18} ({entry['status']} in {new_path})"
-                    if entry["status"] == "added"
-                    else f"    {name:<18} (removed in {new_path})"
-                )
-                continue
-            if "time_ratio" not in entry:
-                lines.append(f"    {name:<18} (no comparable timings)")
-                continue
-            speedups = (
-                f"{entry['old_speedup']:>6.2f}x->{entry['new_speedup']:.2f}x"
-                if "old_speedup" in entry
-                else ""
-            )
-            flag = ""
-            if entry["status"] == "regressed":
-                flag = "  <-- REGRESSED"
-                regressed += 1
-            elif entry["status"] == "improved":
-                flag = "  (improved)"
-            lines.append(
-                f"    {name:<18} {entry['old_s']:>8.3f}s "
-                f"{entry['new_s']:>8.3f}s {entry['time_ratio']:>6.2f}x "
-                f"{speedups:>15}{flag}"
-            )
-    lines.append(
-        f"  {regressed} regression(s) beyond {diff['threshold']:.2f}x"
-        if regressed
-        else f"  no regressions beyond {diff['threshold']:.2f}x"
-    )
-    return "\n".join(lines)
-
-
-def render_report(
-    mode: str, results: dict, regressions: list[tuple[str, float]]
-) -> str:
-    """Human-readable summary of one suite run."""
-    lines = [
-        f"perf-bench -- {mode} suite",
-        f"  {'benchmark':<14} {'new':>9} {'baseline':>9} {'speedup':>8}",
-    ]
-    for name, data in results.items():
-        lines.append(
-            f"  {name:<14} {data['new_s']:>8.3f}s {data['baseline_s']:>8.3f}s "
-            f"{data['speedup']:>7.2f}x"
-        )
+def render(results: dict) -> list[str]:
+    lines = speedup_table(results, "new", "baseline")
     serve = results.get("serve")
     if serve:
         latency = serve["latency_ms"]
-        lines.append(
-            f"  serve: {serve['throughput_rps']:.1f} req/s, latency ms "
-            f"p50 {latency['p50']:.2f} p95 {latency['p95']:.2f} "
-            f"p99 {latency['p99']:.2f}"
-        )
-    if regressions:
-        for name, ratio in regressions:
-            lines.append(
-                f"  REGRESSION: {name} is {ratio:.2f}x slower than the "
-                "committed baseline"
-            )
-    else:
-        lines.append("  no regressions vs committed baseline")
-    return "\n".join(lines)
+        lines += [
+            f"  serve: {serve['requests']} requests, "
+            f"{serve['throughput_rps']:.1f} req/s, predictions identical: "
+            f"{'yes' if serve['predictions_identical'] else 'NO'}",
+            f"  serve latency ms: p50 {latency['p50']:.2f}  "
+            f"p95 {latency['p95']:.2f}  p99 {latency['p99']:.2f}  "
+            f"max {latency['max']:.2f}",
+        ]
+    return lines
+
+
+SUITE = Suite(
+    name="perf",
+    title="vectorised kernels vs scalar references",
+    sizes=_SIZES,
+    cases=_cases,
+    output="BENCH_PR4.json",
+    check=check,
+    render=render,
+    gated_fields=("new_s",),
+    max_regression=2.0,
+)

@@ -1,4 +1,4 @@
-"""Precision suite behind ``repro precision-bench``.
+"""The ``precision`` suite of ``repro bench``: float32 vs float64 paths.
 
 Times the float32 compute paths against the default float64 ones over
 the hot kernels -- the batched wavelet denoiser, the simulator compute
@@ -9,31 +9,28 @@ benchmark measures the allocation footprint of ring-buffer window
 assembly against the list-of-arrays scheme it replaced, via
 ``tracemalloc``.
 
-The committed report (:data:`DEFAULT_OUTPUT`) is both the performance
+The committed report (``BENCH_PR9.json``) is both the performance
 record required of the low-precision work (full-suite kernel speedups
-of at least :data:`MIN_KERNEL_SPEEDUP`) and the CI gate: the
-``perf-smoke`` job re-runs the smoke suite, compares timings against
-the committed baseline via :func:`compare_to_baseline`, and fails on
-any :func:`check_results` violation -- float32 end-to-end accuracy
+of at least :data:`MIN_KERNEL_SPEEDUP`) and the CI gate: a run fails
+on any :func:`check` violation -- float32 end-to-end accuracy
 below float64, ring-buffer assembly allocating more than the list
-path, or (full mode only) a kernel speedup under the floor.
+path, or (full mode only) a kernel speedup under the floor -- and on
+any ``new_s`` more than twice the committed one.
 
 Numerical tolerances and their rationale (quantiser boundary flips,
 float32 rounding, where float64 accumulation is retained) are
 documented in DESIGN.md §14.
 
-Report layout follows :mod:`repro.experiments.perfbench` -- in fact
-the report I/O helpers are re-exported from there so both artifacts
-share one schema -- but timings here compare *precisions* of one
-implementation, not implementations: ``baseline_s`` is the float64
-(or list-of-arrays) path and ``new_s`` the float32 (or ring-buffer)
-path.
+Timings here compare *precisions* of one implementation, not
+implementations: ``baseline_s`` is the float64 (or list-of-arrays)
+path and ``new_s`` the float32 (or ring-buffer) path.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -42,37 +39,15 @@ from repro.core.config import WiMiConfig
 from repro.csi.simulator import CsiSimulator
 from repro.dsp.ringbuffer import RowRingBuffer
 from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser
-from repro.experiments.datasets import (
-    collect_dataset,
-    split_dataset,
-    standard_scene,
+from repro.experiments.bench import (
+    Suite,
+    best_of,
+    lab_split,
+    speedup_table,
 )
-from repro.experiments.perfbench import (
-    _best_of,
-    compare_to_baseline,
-    load_report,
-    write_report,
-)
+from repro.experiments.datasets import standard_scene
 from repro.experiments.runner import fit_and_score
 from repro.ml.kernels import pairwise_sq_dists, rbf_from_sq_dists
-
-__all__ = [
-    "DEFAULT_OUTPUT",
-    "DEFAULT_MAX_REGRESSION",
-    "MIN_KERNEL_SPEEDUP",
-    "run_suite",
-    "check_results",
-    "compare_to_baseline",
-    "load_report",
-    "write_report",
-    "render_report",
-]
-
-#: Report written by ``repro precision-bench`` and committed as baseline.
-DEFAULT_OUTPUT = "BENCH_PR9.json"
-
-#: Default timing-regression gate (vs the committed baseline's new_s).
-DEFAULT_MAX_REGRESSION = 2.0
 
 #: Required full-suite float32 speedup on the three compute kernels.
 #: Sized from the measured wins at the paper-realistic workloads; the
@@ -123,7 +98,7 @@ _SIZES = {
 def bench_denoise(sizes: dict) -> dict:
     """Batched denoiser: float32 working precision vs float64.
 
-    Same trace-shaped workload as the perf-bench denoiser benchmark
+    Same trace-shaped workload as the perf suite's denoiser benchmark
     (packets x 90 channels); the float32 run feeds float32 input so no
     hidden upcast re-widens the intermediates.
     """
@@ -139,8 +114,8 @@ def bench_denoise(sizes: dict) -> dict:
     out64 = d64.denoise(x)
     out32 = d32.denoise(x32)
     scale = float(np.max(np.abs(out64)))
-    baseline_s = _best_of(lambda: d64.denoise(x), sizes["repeats"])
-    new_s = _best_of(lambda: d32.denoise(x32), sizes["repeats"])
+    baseline_s = best_of(lambda: d64.denoise(x), sizes["repeats"])
+    new_s = best_of(lambda: d32.denoise(x32), sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -171,8 +146,8 @@ def bench_simulate(sizes: dict) -> dict:
     csi64 = run("float64").matrix()
     csi32 = run("float32").matrix()
     scale = float(np.max(np.abs(csi64)))
-    baseline_s = _best_of(lambda: run("float64"), sizes["repeats"])
-    new_s = _best_of(lambda: run("float32"), sizes["repeats"])
+    baseline_s = best_of(lambda: run("float64"), sizes["repeats"])
+    new_s = best_of(lambda: run("float32"), sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -199,8 +174,8 @@ def bench_gram(sizes: dict) -> dict:
 
     g64 = run(None)
     g32 = run(np.float32)
-    baseline_s = _best_of(lambda: run(None), sizes["repeats"])
-    new_s = _best_of(lambda: run(np.float32), sizes["repeats"])
+    baseline_s = best_of(lambda: run(None), sizes["repeats"])
+    new_s = best_of(lambda: run(np.float32), sizes["repeats"])
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -219,17 +194,10 @@ def bench_identify_accuracy(sizes: dict) -> dict:
     the only difference is the pipeline's working precision.  The CI
     gate requires float32 accuracy to be no lower than float64's.
     """
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    labels = [m.name for m in materials]
-    dataset = collect_dataset(
-        materials,
-        scene=standard_scene("lab"),
-        repetitions=sizes["identify_repetitions"],
-        num_packets=sizes["identify_packets"],
-        seed=0,
+    materials, train, test = lab_split(
+        sizes["identify_repetitions"], sizes["identify_packets"]
     )
-    train, test = split_dataset(dataset)
+    labels = [m.name for m in materials]
 
     def run(precision):
         config = WiMiConfig(compute_precision=precision)
@@ -316,34 +284,7 @@ def bench_ring_buffer(sizes: dict) -> dict:
     }
 
 
-_BENCHMARKS = (
-    ("denoise", bench_denoise),
-    ("simulate", bench_simulate),
-    ("gram", bench_gram),
-    ("identify_accuracy", bench_identify_accuracy),
-    ("ring_buffer", bench_ring_buffer),
-)
-
-
-# ----------------------------------------------------------------------
-# Suite driver and gates
-# ----------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", progress=None) -> dict:
-    """Run every precision benchmark at ``mode`` ("smoke"/"full") sizes."""
-    if mode not in _SIZES:
-        raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
-    sizes = _SIZES[mode]
-    results = {}
-    for name, bench in _BENCHMARKS:
-        if progress is not None:
-            progress(name)
-        results[name] = bench(sizes)
-    return results
-
-
-def check_results(results: dict, mode: str) -> list[str]:
+def check(results: dict, mode: str) -> list[str]:
     """Hard-gate violations in a suite run (empty list = all good).
 
     Always enforced: float32 end-to-end accuracy must not fall below
@@ -376,22 +317,19 @@ def check_results(results: dict, mode: str) -> list[str]:
     return failures
 
 
-def render_report(
-    mode: str,
-    results: dict,
-    regressions: list[tuple[str, float]],
-    failures: list[str],
-) -> str:
-    """Human-readable summary of one precision-suite run."""
-    lines = [
-        f"precision-bench -- {mode} suite (float32 vs float64)",
-        f"  {'benchmark':<18} {'f32':>9} {'f64':>9} {'speedup':>8}",
-    ]
-    for name, data in results.items():
-        lines.append(
-            f"  {name:<18} {data['new_s']:>8.3f}s {data['baseline_s']:>8.3f}s "
-            f"{data['speedup']:>7.2f}x"
-        )
+def _cases(sizes: dict):
+    for name, bench in (
+        ("denoise", bench_denoise),
+        ("simulate", bench_simulate),
+        ("gram", bench_gram),
+        ("identify_accuracy", bench_identify_accuracy),
+        ("ring_buffer", bench_ring_buffer),
+    ):
+        yield name, partial(bench, sizes)
+
+
+def render(results: dict) -> list[str]:
+    lines = speedup_table(results, "f32", "f64")
     accuracy = results.get("identify_accuracy")
     if accuracy:
         lines.append(
@@ -405,13 +343,17 @@ def render_report(
             f"{ring['list_peak_bytes']} B "
             f"({ring['peak_ratio']:.2f}x)"
         )
-    for failure in failures:
-        lines.append(f"  GATE FAILED: {failure}")
-    for name, ratio in regressions:
-        lines.append(
-            f"  REGRESSION: {name} is {ratio:.2f}x slower than the "
-            "committed baseline"
-        )
-    if not failures and not regressions:
-        lines.append("  all gates passed, no regressions vs baseline")
-    return "\n".join(lines)
+    return lines
+
+
+SUITE = Suite(
+    name="precision",
+    title="float32 compute paths vs float64 baselines",
+    sizes=_SIZES,
+    cases=_cases,
+    output="BENCH_PR9.json",
+    check=check,
+    render=render,
+    gated_fields=("new_s",),
+    max_regression=2.0,
+)

@@ -1,8 +1,8 @@
-"""Chaos soak harness: the failure-control plane under sustained abuse.
+"""The ``soak`` suite of ``repro bench``: failure control under abuse.
 
-``repro soak-bench`` drives one sharded cluster through a scripted
-chaos schedule and commits the evidence as ``SOAK_PR10.json``.  Each
-phase targets one mechanism of the failure-control plane:
+Its one case drives a sharded cluster through a scripted chaos
+schedule; the evidence is committed as ``SOAK_PR10.json``.  Each phase
+targets one mechanism of the failure-control plane:
 
 1. **baseline** -- a clean wave; every label must match a fault-free
    ``identify_batch`` run and the per-shard artifact stores warm up.
@@ -31,35 +31,34 @@ phase targets one mechanism of the failure-control plane:
    first-reply-wins dedup absorbs the duplicates.
 
 The run **fails loudly** (``gates_passed`` false in the report, and
-the CLI exits non-zero) unless every admitted request resolves, every
-clean prediction matches the fault-free run, and every mechanism
-actually fired: expired-deadline drops at all three points, breaker
-opens *and* re-closes, sheds, hedges, redeliveries, restarts and
-quarantines all non-zero.
+:func:`check` names every failed gate) unless every admitted request
+resolves, every clean prediction matches the fault-free run, and every
+mechanism actually fired: expired-deadline drops at all three points,
+breaker opens *and* re-closes, sheds, hedges, redeliveries, restarts
+and quarantines all non-zero.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.channel.materials import default_catalog
 from repro.cluster import ClusterClient, ClusterConfig
-from repro.core.feature import theory_reference_omegas
-from repro.core.pipeline import WiMi
 from repro.csi.faults import (
     AntennaDropout,
     SubcarrierErasure,
     flip_bits,
     inject_session,
 )
+from repro.experiments.bench import LAB_LIQUIDS, Suite
+from repro.experiments.clusterbench import deploy, flatten
 from repro.experiments.datasets import collect_dataset, standard_scene
 from repro.serve import OverloadError, QueueFullError
-
-DEFAULT_MATERIALS = ("pure_water", "pepsi", "oil")
 
 #: Per-request service-time floor: keeps work in flight long enough
 #: for kills, hedges and stage-deadline expiries to land mid-load.
@@ -68,9 +67,10 @@ THROTTLE_S = 0.03
 DEFAULT_REPETITIONS = 24
 SMOKE_REPETITIONS = 6
 
-
-def _flatten(dataset: dict) -> list:
-    return [s for sessions in dataset.values() for s in sessions]
+_SIZES = {
+    "smoke": {"seed": 1, "workers": 2, "repetitions": SMOKE_REPETITIONS},
+    "full": {"seed": 1, "workers": 2, "repetitions": DEFAULT_REPETITIONS},
+}
 
 
 def _wait_all(handles, collect=None) -> tuple[int, int]:
@@ -99,41 +99,20 @@ def run_soak_bench(
     num_packets: int = 6,
     workers: int = 2,
     store_root: str | Path | None = None,
-    progress=None,
 ) -> dict:
     """Run the full chaos schedule; returns the result dict."""
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    import tempfile
-
-    catalog = default_catalog()
-    materials = [catalog.get(name) for name in DEFAULT_MATERIALS]
-    note("collecting deployment")
-    train = _flatten(collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=4,
-        num_packets=num_packets, seed=seed,
-    ))
-    bench = _flatten(collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=repetitions,
-        num_packets=num_packets, seed=seed + 6,
-    ))
+    wimi, bench, root = deploy(seed, repetitions, num_packets, store_root)
+    registry = root / "registry"
+    expected = [str(x) for x in wimi.identify_batch(bench)]
     # Never-seen sessions for the stage-deadline phase: their artifacts
     # are cold everywhere, so the engine must actually execute stages
     # (a warm memory tier would short-circuit the deadline checks).
-    fresh = _flatten(collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=3,
+    catalog = default_catalog()
+    fresh = flatten(collect_dataset(
+        [catalog.get(name) for name in LAB_LIQUIDS],
+        scene=standard_scene("lab"), repetitions=3,
         num_packets=num_packets, seed=seed + 17,
     ))
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-    expected = [str(x) for x in wimi.identify_batch(bench)]
-
-    root = Path(store_root) if store_root else Path(tempfile.mkdtemp())
-    registry = root / "registry"
-    wimi.save_to_registry(registry, name="wimi")
 
     capacity = 32
     config = ClusterConfig(
@@ -155,7 +134,6 @@ def run_soak_bench(
     lost = 0
     try:
         # ------------------------------------------------ 1. baseline
-        note(f"baseline: {len(bench)} clean requests")
         labels: list[str] = []
         for start in range(0, len(bench), capacity // 2):
             chunk = bench[start:start + capacity // 2]
@@ -169,7 +147,6 @@ def run_soak_bench(
         }
 
         # ---------------------------------------------- 2. shed spike
-        note("shed spike: best-effort flood past the depth threshold")
         admitted, shed = [], 0
         for session in bench * 3:
             try:
@@ -187,7 +164,6 @@ def run_soak_bench(
         }
 
         # ----------------------------------------- 3. kill/redeliver
-        note("kill phase: SIGKILL shard 0 mid-load")
         handles = client.submit_many(bench[:capacity // 2], timeout=None)
         time.sleep(THROTTLE_S * 4)
         os.kill(client.orchestrator._slots[0].process.pid, signal.SIGKILL)
@@ -202,7 +178,6 @@ def run_soak_bench(
         }
 
         # --------------------------------- 4. corruption + quarantine
-        note("quarantine phase: bit-flip stores, SIGKILL both shards")
         flipped = 0
         for shard in range(workers):
             objects = root / "stores" / f"shard-{shard}" / "objects"
@@ -258,7 +233,6 @@ def run_soak_bench(
         }
 
         # ------------------------------------------------ 5. deadlines
-        note("deadline phase: admission, dequeue and stage drop points")
         admission = client.submit_many(bench[:4], timeout=0.0)
         burst = client.submit_many(
             bench[:capacity // 2], timeout=THROTTLE_S * 2
@@ -277,7 +251,6 @@ def run_soak_bench(
         }
 
         # -------------------------------------------- 6. capture fault
-        note("capture-fault phase: hopeless session fails typed")
         hopeless = inject_session(
             bench[0],
             (
@@ -298,7 +271,6 @@ def run_soak_bench(
         phases["capture_fault"] = {"typed_failure": fault_typed}
 
         # ------------------------------------------------ 7. hedge
-        note("hedge phase: wide wave, stragglers re-enqueued on sibling")
         hedge_labels: list[str] = []
         handles = client.submit_many(bench[:capacity - 2], timeout=None)
         completed, failed = _wait_all(handles, collect=hedge_labels)
@@ -338,7 +310,7 @@ def run_soak_bench(
     }
     return {
         "seed": seed,
-        "materials": list(DEFAULT_MATERIALS),
+        "materials": list(LAB_LIQUIDS),
         "workers": workers,
         "distinct_sessions": len(bench),
         "phases": phases,
@@ -352,36 +324,55 @@ def run_soak_bench(
     }
 
 
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the committed artifact (sibling of ``BENCH_PR7.json``)."""
-    report = {"schema": 1, "benchmark": "chaos-soak", **results}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+def check(results: dict, mode: str) -> list[str]:
+    """Every soak gate that did not hold."""
+    soak = results.get("soak")
+    if not soak:
+        return []
+    return [
+        f"soak gate {name} did not hold"
+        for name, passed in sorted(soak["gates"].items())
+        if not passed
+    ]
 
 
-def render_report(results: dict) -> str:
-    """Human-readable summary of one run."""
-    gates = results["gates"]
-    cc = results["counters"]["cluster"]
-    lines = [
-        f"soak-bench -- {results['distinct_sessions']} distinct sessions, "
-        f"{results['workers']} workers, seed {results['seed']}",
-        f"  sheds {cc['requests.shed']}, hedges {cc['cluster.hedges']}, "
+def render(results: dict) -> list[str]:
+    soak = results.get("soak")
+    if not soak:
+        return []
+    cc = soak["counters"]["cluster"]
+    merged = soak["counters"]["worker_merged"]
+    return [
+        f"  soak: {soak['distinct_sessions']} distinct sessions, "
+        f"{soak['workers']} workers, seed {soak['seed']}",
+        f"    sheds {cc['requests.shed']}, hedges {cc['cluster.hedges']}, "
         f"redeliveries {cc['cluster.redeliveries']}, "
         f"restarts {cc['cluster.restarts']}",
-        f"  breaker opened {cc['breaker.opened']} / closed "
+        f"    breaker opened {cc['breaker.opened']} / closed "
         f"{cc['breaker.closed']} / diverted {cc['breaker.diverted']}",
-        f"  expired: admission {cc['deadline.expired_admission']}, "
-        "dequeue "
-        f"{results['counters']['worker_merged'].get('deadline.expired_dequeue', 0)}, "
-        "stage "
-        f"{results['counters']['worker_merged'].get('deadline.expired_stage', 0)}",
-        f"  store entries quarantined: "
-        f"{results['counters']['store_quarantined']:.0f}",
+        f"    expired: admission {cc['deadline.expired_admission']}, "
+        f"dequeue {merged.get('deadline.expired_dequeue', 0)}, "
+        f"stage {merged.get('deadline.expired_stage', 0)}",
+        "    store entries quarantined: "
+        f"{soak['counters']['store_quarantined']:.0f}",
     ]
-    failed = sorted(name for name, passed in gates.items() if not passed)
-    if failed:
-        lines.append(f"  GATES FAILED: {', '.join(failed)}")
-    else:
-        lines.append("  all gates passed (zero lost requests)")
-    return "\n".join(lines)
+
+
+def _cases(sizes: dict):
+    with tempfile.TemporaryDirectory() as root:
+        yield "soak", partial(
+            run_soak_bench, seed=sizes["seed"],
+            repetitions=sizes["repetitions"], workers=sizes["workers"],
+            store_root=root,
+        )
+
+
+SUITE = Suite(
+    name="soak",
+    title="chaos soak of the failure-control plane",
+    sizes=_SIZES,
+    cases=_cases,
+    output="SOAK_PR10.json",
+    check=check,
+    render=render,
+)

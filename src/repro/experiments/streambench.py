@@ -1,4 +1,4 @@
-"""Streaming-vs-batch latency harness behind ``repro stream-bench``.
+"""The ``stream`` suite of ``repro bench``: streaming vs batch latency.
 
 The batch pipeline cannot produce *anything* before the full trace is
 captured and denoised, so its identify latency is proportional to the
@@ -21,43 +21,26 @@ bench measures per trace length is:
 * ``batch_identify_s`` -- the cold full-trace ``identify`` the
   streaming path replaces.
 
-Every run also verifies the acceptance contract: the finalized
-streaming prediction equals the batch prediction on the same session.
-
-Report format follows :mod:`repro.experiments.perfbench`: suites are
-stored side by side in :data:`DEFAULT_OUTPUT` (committed at the repo
-root) and a later run -- e.g. the CI ``perf-smoke`` job running
-``repro stream-bench --smoke`` -- fails when a gated timing exceeds
-``max_regression`` times the committed value.
+Every run also verifies the acceptance contract (:func:`check`): the
+finalized streaming prediction equals the batch prediction on the same
+session.  The committed report is ``BENCH_PR8.json``; the baseline
+gate fails a run whose time-to-first-estimate or finalize time exceeds
+three times the committed value (looser than the perf suite's 2x
+because the gated quantities are millisecond-scale).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
+from functools import partial
 
 from repro.channel.materials import default_catalog
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.csi.collector import DataCollector, SessionConfig
 from repro.engine.cache import StageCache
-from repro.experiments.datasets import (
-    collect_dataset,
-    split_dataset,
-    standard_scene,
-)
-
-#: Report written by ``repro stream-bench`` and committed as the baseline.
-DEFAULT_OUTPUT = "BENCH_PR8.json"
-
-#: Default regression gate: fail when a gated timing exceeds this
-#: multiple of the committed baseline's.  Looser than perf-bench's 2.0
-#: because the gated quantities are millisecond-scale.
-DEFAULT_MAX_REGRESSION = 3.0
-
-#: Timings the regression gate checks (per trace length).
-GATED_FIELDS = ("time_to_first_estimate_s", "finalize_s")
+from repro.experiments.bench import Suite, best_of, lab_split, violations
+from repro.experiments.datasets import standard_scene
 
 #: Per-suite workload sizes.  Smoke is sized for CI; full is the
 #: committed reference workload sweeping trace lengths so the
@@ -81,21 +64,12 @@ _SIZES = {
 
 def _workload(sizes: dict):
     """A fitted pipeline plus a collector for test traces of any length."""
-    catalog = default_catalog()
-    materials = [catalog.get(n) for n in ("pure_water", "pepsi", "oil")]
-    scene = standard_scene("lab")
-    dataset = collect_dataset(
-        materials,
-        scene=scene,
-        repetitions=sizes["train_repetitions"],
-        num_packets=sizes["train_packets"],
-        seed=0,
+    materials, train, _ = lab_split(
+        sizes["train_repetitions"], sizes["train_packets"]
     )
-    train, _ = split_dataset(dataset)
-    wimi = WiMi(theory_reference_omegas(materials))
-    wimi.fit(train)
-    collector = DataCollector(scene, rng=1)
-    return wimi, collector, catalog.get("pepsi")
+    wimi = WiMi(theory_reference_omegas(materials)).fit(train)
+    collector = DataCollector(standard_scene("lab"), rng=1)
+    return wimi, collector, default_catalog().get("pepsi")
 
 
 def _stream_once(wimi: WiMi, session) -> dict:
@@ -147,22 +121,11 @@ def bench_length(wimi: WiMi, collector, material, length: int,
         return wimi.clone_view(cache=StageCache()).identify(session)
 
     batch_label = run_batch()
-    batch_s = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        run_batch()
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    best: dict | None = None
-    for _ in range(max(1, repeats)):
-        attempt = _stream_once(wimi, session)
-        if (
-            best is None
-            or attempt["time_to_first_estimate_s"]
-            < best["time_to_first_estimate_s"]
-        ):
-            best = attempt
-    assert best is not None
+    batch_s = best_of(run_batch, repeats)
+    best = min(
+        (_stream_once(wimi, session) for _ in range(max(1, repeats))),
+        key=lambda attempt: attempt["time_to_first_estimate_s"],
+    )
     first = best["time_to_first_estimate_s"]
     return {
         "packets": length,
@@ -181,89 +144,27 @@ def bench_length(wimi: WiMi, collector, material, length: int,
     }
 
 
-# ----------------------------------------------------------------------
-# Suite driver, report I/O and baseline comparison
-# ----------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", progress=None) -> dict:
-    """Run the streaming bench at ``mode`` ("smoke" or "full") sizes."""
-    if mode not in _SIZES:
-        raise ValueError(f"mode must be one of {sorted(_SIZES)}, got {mode!r}")
-    sizes = _SIZES[mode]
+def _cases(sizes: dict):
     wimi, collector, material = _workload(sizes)
-    results = {}
     for length in sizes["trace_lengths"]:
-        name = f"stream_len{length}"
-        if progress is not None:
-            progress(name)
-        results[name] = bench_length(
-            wimi, collector, material, length, sizes["repeats"]
+        yield f"stream_len{length}", partial(
+            bench_length, wimi, collector, material, length, sizes["repeats"]
         )
-    return results
 
 
-def load_report(path: str | Path) -> dict | None:
-    """The committed report at ``path``, or None when absent/unreadable."""
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return report if isinstance(report.get("suites"), dict) else None
+def check(results: dict, mode: str) -> list[str]:
+    """Trace lengths whose streaming label differs from the batch one."""
+    return violations(results, [
+        (name, lambda e: e["predictions_identical"],
+         "streaming label {label!r} differs from the batch one")
+        for name in results
+    ])
 
 
-def write_report(path: str | Path, mode: str, results: dict) -> dict:
-    """Write/merge the report at ``path`` and return it.
-
-    Suites are stored side by side so a smoke-only run does not clobber
-    the committed full-suite timings.
-    """
-    report = load_report(path) or {"schema": 1, "suites": {}}
-    report["suites"][mode] = results
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def compare_to_baseline(
-    results: dict,
-    baseline: dict | None,
-    mode: str,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[tuple[str, float]]:
-    """Gated timings that regressed beyond ``max_regression``.
-
-    Returns ``("bench.field", ratio)`` pairs; empty when there is no
-    committed baseline for ``mode`` (first run) or nothing regressed.
-    """
-    if baseline is None or max_regression <= 0:
-        return []
-    committed = baseline.get("suites", {}).get(mode, {})
-    regressions = []
-    for name, current in results.items():
-        reference = committed.get(name)
-        if not reference:
-            continue
-        for field in GATED_FIELDS:
-            committed_s = reference.get(field, 0)
-            if not committed_s or committed_s <= 0:
-                continue
-            ratio = current[field] / committed_s
-            if ratio > max_regression:
-                regressions.append((f"{name}.{field}", ratio))
-    return regressions
-
-
-def render_report(
-    mode: str, results: dict, regressions: list[tuple[str, float]]
-) -> str:
-    """Human-readable summary of one suite run."""
+def render(results: dict) -> list[str]:
     lines = [
-        f"stream-bench -- {mode} suite",
         f"  {'benchmark':<16} {'batch':>9} {'1st est':>9} "
-        f"{'finalize':>9} {'step max':>9} {'match':>6}",
+        f"{'finalize':>9} {'step max':>9} {'match':>6}"
     ]
     for name, data in results.items():
         match = "yes" if data["predictions_identical"] else "NO"
@@ -278,12 +179,17 @@ def render_report(
             f"packets, {data['speedup_first_estimate']:.1f}x ahead of "
             "batch"
         )
-    if regressions:
-        for name, ratio in regressions:
-            lines.append(
-                f"  REGRESSION: {name} is {ratio:.2f}x slower than the "
-                "committed baseline"
-            )
-    else:
-        lines.append("  no regressions vs committed baseline")
-    return "\n".join(lines)
+    return lines
+
+
+SUITE = Suite(
+    name="stream",
+    title="streaming time-to-first-estimate vs batch latency",
+    sizes=_SIZES,
+    cases=_cases,
+    output="BENCH_PR8.json",
+    check=check,
+    render=render,
+    gated_fields=("time_to_first_estimate_s", "finalize_s"),
+    max_regression=3.0,
+)

@@ -1,9 +1,9 @@
-"""Warm-start benchmark: cold train-and-serve vs registry restore.
+"""The ``warm`` suite of ``repro bench``: stage memoization and warm start.
 
-The PR 6 persistence layer claims a fresh process can answer its first
+The persistence layer claims a fresh process can answer its first
 identify request without retraining, by mounting the artifact store and
-loading the trained bundle from the model registry.  This benchmark
-measures that claim on one deployment:
+loading the trained bundle from the model registry.  The
+``warm_start`` case measures that claim on one deployment:
 
 * **cold** -- a new pipeline calibrates + trains on the training
   sessions (populating the store and registry as it goes), then answers
@@ -12,72 +12,55 @@ measures that claim on one deployment:
   way a restarted process would be, restores everything from the
   registry and answers the same request from persisted artifacts.
 
-Both paths must produce bit-identical predictions, and the warm path
-must execute **zero** pipeline stages (every resolution is a disk hit)
-for a request the cold process already served.  The JSON artifact is
-committed as ``BENCH_PR6.json``.
+The ``repeat_pass`` case identifies the same test sessions twice on
+one memory cache and records per-stage executions vs hits.
+
+:func:`check` fails the run unless both paths produce bit-identical
+predictions, the warm path executes **zero** pipeline stages (every
+resolution is a disk hit) for a request the cold process already
+served, warm start is at least :data:`MIN_WARM_SPEEDUP` times faster,
+and the repeat pass re-runs no denoiser stage.  The report is
+committed as ``BENCH_PR6.json``; the workload is CI-sized already, so
+``smoke`` and ``full`` run the same sizes.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
+from functools import partial
 
-from repro.channel.materials import default_catalog
 from repro.core.config import WiMiConfig
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.engine import StageCounter
-from repro.experiments.datasets import (
-    collect_dataset,
-    split_dataset,
-    standard_scene,
-)
+from repro.experiments.bench import LAB_LIQUIDS, Suite, lab_split, violations
 from repro.persist.store import ArtifactStore
 
-#: Materials of the benchmark deployment (mirrors serve-bench).
-DEFAULT_MATERIALS = ("pure_water", "pepsi", "oil")
+#: Smallest cold-over-warm speedup :func:`check` accepts.
+MIN_WARM_SPEEDUP = 5.0
 
-#: Paper-protocol capture sizes, kept small enough for CI.
-DEFAULT_REPETITIONS = 6
-DEFAULT_PACKETS = 10
+#: Paper-protocol capture sizes, kept small enough for CI.  The store
+#: and registry live under ``store_path``.
+_SIZES = dict.fromkeys(
+    ("smoke", "full"),
+    {"seed": 1, "repetitions": 6, "packets": 10, "store_path": ".wimi-store"},
+)
 
 
-def run_warm_bench(
-    store_path: str | Path,
-    registry_path: str | Path,
-    seed: int = 1,
-    repetitions: int = DEFAULT_REPETITIONS,
-    num_packets: int = DEFAULT_PACKETS,
-    progress=None,
-) -> dict:
-    """Run the cold vs warm comparison; returns the result dict.
+def bench_warm_start(materials, train, test, seed: int, root: str) -> dict:
+    """Cold fit + first identify vs registry restore + first identify.
 
-    ``store_path``/``registry_path`` should be empty or absent for a
-    true cold start (existing content makes the "cold" half warmer than
-    a real first boot, understating the speedup, never overstating it).
+    ``root`` should be empty or absent for a true cold start (existing
+    content makes the "cold" half warmer than a real first boot,
+    understating the speedup, never overstating it).
     """
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    catalog = default_catalog()
-    materials = [catalog.get(name) for name in DEFAULT_MATERIALS]
-    dataset = collect_dataset(
-        materials, scene=standard_scene("lab"), repetitions=repetitions,
-        num_packets=num_packets, seed=seed,
-    )
-    train, test = split_dataset(dataset)
+    store_path, registry_path = f"{root}/store", f"{root}/registry"
     refs = theory_reference_omegas(materials)
     config = WiMiConfig(
-        artifact_store_path=str(store_path),
-        model_registry_path=str(registry_path),
+        artifact_store_path=store_path, model_registry_path=registry_path
     )
 
     # ------------------------------------------------------------- cold
-    note("cold start: fit + first identify")
     t0 = time.perf_counter()
     cold = WiMi(refs, config)
     cold.fit(train)
@@ -91,9 +74,8 @@ def run_warm_bench(
     # ------------------------------------------------------------- warm
     # A fresh memory cache over the now-populated store is exactly the
     # state a restarted process boots into.
-    note("warm start: registry load + first identify")
     t0 = time.perf_counter()
-    warm = WiMi.from_registry(str(registry_path))
+    warm = WiMi.from_registry(registry_path)
     load_s = time.perf_counter() - t0
     counter = StageCounter()
     warm.engine.add_hook(counter)
@@ -107,7 +89,7 @@ def run_warm_bench(
     store_stats = ArtifactStore(store_path).stats()
     return {
         "seed": seed,
-        "materials": list(DEFAULT_MATERIALS),
+        "materials": list(LAB_LIQUIDS),
         "train_sessions": len(train),
         "test_sessions": len(test),
         "cold": {
@@ -133,32 +115,111 @@ def run_warm_bench(
     }
 
 
-def write_report(path: str | Path, results: dict) -> dict:
-    """Write the committed artifact (sibling of ``BENCH_PR4.json``)."""
-    report = {"schema": 1, "benchmark": "warm-start", **results}
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+def bench_repeat_pass(materials, train, test) -> dict:
+    """Identify the test sessions twice on one memory-only cache.
+
+    The repeat pass must be served entirely from the stage cache: zero
+    denoiser executions and the same labels.
+    """
+    wimi = WiMi(theory_reference_omegas(materials))
+    counter = StageCounter()
+    wimi.engine.add_hook(counter)
+    wimi.fit(train)
+    first = wimi.identify_batch(test)
+    first_denoise = counter.executions.get("amplitude_denoise", 0)
+    counter.reset()
+    second = wimi.identify_batch(test)
+    return {
+        "train_sessions": len(train),
+        "test_sessions": len(test),
+        "first_pass_denoise_executions": first_denoise,
+        "repeat_pass_denoise_executions": counter.executions.get(
+            "amplitude_denoise", 0
+        ),
+        "predictions_identical": first == second,
+        "stage_cache": wimi.cache.snapshot(),
+    }
 
 
-def render_report(results: dict) -> str:
-    """Human-readable cold-vs-warm summary for the CLI."""
-    cold = results["cold"]
-    warm = results["warm"]
-    executions = sum(results["warm_first_stage_executions"].values())
-    lines = [
-        f"warm-bench -- cold train-and-serve vs registry warm start "
-        f"(seed {results['seed']}, {results['train_sessions']} train / "
-        f"{results['test_sessions']} test)",
-        f"  cold: fit {cold['fit_s']:.3f}s + first identify "
-        f"{cold['first_identify_s']:.3f}s = {cold['total_s']:.3f}s",
-        f"  warm: load {warm['load_s']:.3f}s + first identify "
-        f"{warm['first_identify_s']:.3f}s = {warm['total_s']:.3f}s",
-        f"  speedup: {results['speedup']:.1f}x",
-        f"  predictions identical: "
-        f"{'yes' if results['predictions_identical'] else 'NO'}",
-        f"  warm first-identify stage executions: {executions} "
-        f"(disk hits {sum(results['warm_disk_hits'].values())})",
-        f"  store: {results['store']['entries']} entries, "
-        f"{results['store']['bytes']} bytes",
-    ]
-    return "\n".join(lines)
+def _cases(sizes: dict):
+    materials, train, test = lab_split(
+        sizes["repetitions"], sizes["packets"], sizes["seed"]
+    )
+    yield "warm_start", partial(
+        bench_warm_start, materials, train, test, sizes["seed"],
+        str(sizes["store_path"]),
+    )
+    yield "repeat_pass", partial(bench_repeat_pass, materials, train, test)
+
+
+def check(results: dict, mode: str) -> list[str]:
+    """Warm-start and memoization acceptance criteria."""
+    return violations(results, (
+        ("warm_start", lambda e: e["predictions_identical"],
+         "cold/warm predictions differ"),
+        ("warm_start", lambda e: not any(
+            e["warm_first_stage_executions"].values()),
+         "warm process ran stages {warm_first_stage_executions}"),
+        ("warm_start", lambda e: e["speedup"] >= MIN_WARM_SPEEDUP,
+         "speedup {speedup:.1f}x is below the warm-start floor"),
+        ("repeat_pass", lambda e: e["predictions_identical"],
+         "repeat-pass predictions differ"),
+        ("repeat_pass", lambda e: not e["repeat_pass_denoise_executions"],
+         "repeat pass ran {repeat_pass_denoise_executions} denoiser "
+         "stages"),
+    ))
+
+
+def render(results: dict) -> list[str]:
+    lines = []
+    warm_start = results.get("warm_start")
+    if warm_start:
+        cold, warm = warm_start["cold"], warm_start["warm"]
+        executions = sum(warm_start["warm_first_stage_executions"].values())
+        lines += [
+            f"  warm_start (seed {warm_start['seed']}, "
+            f"{warm_start['train_sessions']} train / "
+            f"{warm_start['test_sessions']} test):",
+            f"    cold: fit {cold['fit_s']:.3f}s + first identify "
+            f"{cold['first_identify_s']:.3f}s = {cold['total_s']:.3f}s",
+            f"    warm: load {warm['load_s']:.3f}s + first identify "
+            f"{warm['first_identify_s']:.3f}s = {warm['total_s']:.3f}s",
+            f"    speedup: {warm_start['speedup']:.1f}x  "
+            "predictions identical: "
+            f"{'yes' if warm_start['predictions_identical'] else 'NO'}",
+            f"    warm first-identify stage executions: {executions} "
+            f"(disk hits {sum(warm_start['warm_disk_hits'].values())})",
+            f"    store: {warm_start['store']['entries']} entries, "
+            f"{warm_start['store']['bytes']} bytes",
+        ]
+    repeat = results.get("repeat_pass")
+    if repeat:
+        lines += [
+            "  repeat_pass (stage cache):",
+            f"    {'stage':<22} {'executions':>10} {'memory':>8} "
+            f"{'disk':>6} {'hit rate':>9}",
+        ]
+        for stage, stats in sorted(repeat["stage_cache"].items()):
+            lines.append(
+                f"    {stage:<22} {stats['misses']:>10d} "
+                f"{stats['memory_hits']:>8d} {stats['disk_hits']:>6d} "
+                f"{stats['hit_rate']:>8.1%}"
+            )
+        lines.append(
+            "    denoiser stage executions: first identify pass "
+            f"{repeat['first_pass_denoise_executions']}, repeat pass "
+            f"{repeat['repeat_pass_denoise_executions']}; predictions "
+            f"identical: {'yes' if repeat['predictions_identical'] else 'NO'}"
+        )
+    return lines
+
+
+SUITE = Suite(
+    name="warm",
+    title="stage memoization and registry warm start",
+    sizes=_SIZES,
+    cases=_cases,
+    output="BENCH_PR6.json",
+    check=check,
+    render=render,
+)

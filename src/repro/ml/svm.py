@@ -144,7 +144,7 @@ class BinarySVC:
 
         Kept as the behavioural baseline: same pair-selection heuristics
         and update rules, but each error lookup is an O(n) reduction over
-        the Gram column.  The equivalence tests and perf-bench compare
+        the Gram column.  The equivalence tests and the perf suite compare
         :meth:`fit` against this.
         """
         x, y, gram = self._prepare_fit(x, y, None)

@@ -17,8 +17,9 @@ registry covering the whole path.
 * :mod:`repro.serve.streaming` -- packet-streaming identification
   sessions (submit packets, poll the converging estimate, finalize).
 
-``repro serve-bench`` replays a synthetic multi-material workload
-through the service and prints the whole dashboard.
+The ``serve`` case of ``repro bench --suite perf`` replays a repeated
+multi-material workload through the service against cold sequential
+requests.
 """
 
 from repro.serve.metrics import (

@@ -12,7 +12,7 @@ Three instrument kinds, all thread-safe and allocation-light:
   no unbounded sample storage.
 
 :class:`MetricsRegistry` names and owns the instruments and renders a
-``snapshot()`` dict (for programmatic consumers such as ``serve-bench``)
+``snapshot()`` dict (for programmatic consumers such as the benchmarks)
 or a human-readable text block.  It is deliberately free of third-party
 dependencies so the serving layer stays importable everywhere the
 pipeline is.

@@ -1,8 +1,29 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.experiments import bench
+
+#: Benchmark commands folded into ``repro bench --suite``.
+REMOVED_COMMANDS = (
+    "bench-cache", "serve-bench", "perf-bench", "stream-bench",
+    "precision-bench", "robustness-bench", "warm-bench", "cluster-bench",
+    "soak-bench",
+)
+
+#: Default report (and baseline) of every suite: its committed artifact.
+COMMITTED_ARTIFACTS = {
+    "perf": "BENCH_PR4.json",
+    "stream": "BENCH_PR8.json",
+    "precision": "BENCH_PR9.json",
+    "warm": "BENCH_PR6.json",
+    "cluster": "BENCH_PR7.json",
+    "soak": "SOAK_PR10.json",
+    "robustness": "ROBUSTNESS_PR5.json",
+}
 
 
 class TestRegistry:
@@ -11,10 +32,9 @@ class TestRegistry:
             assert expected in COMMANDS
 
     def test_benchmarks_registered_uniformly(self):
-        # bench-cache used to be special-cased outside the table; both
-        # benchmark commands must now dispatch from the same registry.
-        assert "bench-cache" in COMMANDS
-        assert "serve-bench" in COMMANDS
+        # Every benchmark suite dispatches through the one bench command.
+        assert "bench" in COMMANDS and "bench-compare" in COMMANDS
+        assert not set(REMOVED_COMMANDS) & set(COMMANDS)
 
     def test_every_command_has_runner_and_description(self):
         for name, command in COMMANDS.items():
@@ -22,8 +42,8 @@ class TestRegistry:
             assert command.description, name
 
     def test_all_excludes_benchmarks(self):
-        assert not COMMANDS["bench-cache"].in_all
-        assert not COMMANDS["serve-bench"].in_all
+        assert not COMMANDS["bench"].in_all
+        assert not COMMANDS["bench-compare"].in_all
         assert COMMANDS["fig15"].in_all
 
 
@@ -47,15 +67,27 @@ class TestParser:
         args = build_parser().parse_args(["fig15", "--seed", "7"])
         assert args.seed == 7
 
-    def test_serve_bench_options_parsed(self):
+    def test_bench_options_parsed(self):
         args = build_parser().parse_args(
-            ["serve-bench", "--workers", "4", "--batch-size", "16",
-             "--queue-capacity", "128", "--repeat", "2"]
+            ["bench", "--suite", "cluster", "--smoke", "--workers", "4",
+             "--output", "o.json", "--baseline", "b.json",
+             "--max-regression", "3.5", "--seed", "2"]
         )
+        assert args.suite == "cluster"
+        assert args.smoke is True
         assert args.workers == 4
-        assert args.batch_size == 16
-        assert args.queue_capacity == 128
-        assert args.repeat == 2
+        assert args.output == "o.json"
+        assert args.baseline == "b.json"
+        assert args.max_regression == 3.5
+        assert args.seed == 2
+
+    def test_flag_count(self):
+        flags = [
+            action for action in build_parser()._actions
+            if action.option_strings
+            and action.dest not in ("help", "version")
+        ]
+        assert len(flags) <= 12
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -74,8 +106,10 @@ class TestExecution:
         assert "fig15" in out
         assert "ten-liquid" in out
         # The listing is generated from the registry, benchmarks included.
-        assert "bench-cache" in out
-        assert "serve-bench" in out
+        assert "bench-compare" in out
+        assert "run one benchmark suite" in out
+        for removed in REMOVED_COMMANDS:
+            assert removed not in out
 
     def test_fast_figure_runs(self, capsys):
         assert main(["fig08", "--seed", "1"]) == 0
@@ -88,57 +122,106 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "angular fluctuation" in out
 
-    def test_serve_bench_runs(self, capsys):
-        assert main(["serve-bench", "--repeat", "2", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "serve-bench" in out
+    def test_serve_bench_runs(self):
+        # The online-service load benchmark is the perf suite's serve
+        # case: cold sequential requests vs the micro-batched service.
+        from repro.experiments import perfbench
+
+        result = perfbench.bench_serve(perfbench.SUITE.sizes["smoke"])
+        out = perfbench.SUITE.report("smoke", {"serve": result})
         assert "p50" in out and "p95" in out and "p99" in out
         assert "req/s" in out
-        assert "batch" in out
-        assert "rejected" in out and "retries" in out
-        assert "stage cache" in out
         assert "predictions identical: yes" in out
+        assert perfbench.check({"serve": result}, "smoke") == []
+
+
+def _replaying(name, results):
+    """Suite ``name`` with its workloads swapped for canned results."""
+
+    def cases(sizes):
+        for case, entry in results.items():
+            yield case, lambda entry=entry: entry
+
+    return dataclasses.replace(bench.SUITES[name], cases=cases)
+
+
+class TestBench:
+    @pytest.mark.parametrize("name", sorted(COMMITTED_ARTIFACTS))
+    def test_every_suite_reachable(self, name, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.setitem(bench.SUITES, name, _replaying(name, {}))
+        out = tmp_path / "out.json"
+        assert main(["bench", "--suite", name, "--output", str(out)]) == 0
+        assert f"bench {name} -- full suite" in capsys.readouterr().out
+        assert bench.load_report(out)["benchmark"] == name
+
+    def test_failed_gate_exits_nonzero(self, tmp_path, monkeypatch):
+        failing = dataclasses.replace(
+            _replaying("perf", {}), check=lambda results, mode: ["boom"]
+        )
+        monkeypatch.setitem(bench.SUITES, "perf", failing)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--output", str(tmp_path / "out.json")])
+        assert "GATE FAILED: boom" in str(excinfo.value)
+
+    def test_defaults_are_the_committed_artifacts(self):
+        assert set(bench.SUITES) == set(COMMITTED_ARTIFACTS)
+        for name, artifact in COMMITTED_ARTIFACTS.items():
+            args = build_parser().parse_args(["bench", "--suite", name])
+            # No --output/--baseline: the suite's committed artifact.
+            assert args.output is None and args.baseline is None
+            assert args.max_regression is None
+            assert bench.SUITES[name].output == artifact
+        assert bench.SUITES["perf"].max_regression == 2.0
+        assert bench.SUITES["stream"].max_regression == 3.0
+        assert bench.SUITES["precision"].max_regression == 2.0
+
+    @pytest.mark.parametrize("removed", REMOVED_COMMANDS)
+    def test_removed_commands_exit_2(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([removed])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRobustnessBench:
     def test_registered_outside_all(self):
-        assert "robustness-bench" in COMMANDS
-        assert not COMMANDS["robustness-bench"].in_all
+        assert "robustness" in bench.SUITES
+        assert not COMMANDS["bench"].in_all
 
     def test_options_parsed(self):
         args = build_parser().parse_args(
-            ["robustness-bench", "--robustness-output", "out.json",
+            ["bench", "--suite", "robustness", "--output", "out.json",
              "--workers", "3", "--seed", "4"]
         )
-        assert args.robustness_output == "out.json"
+        assert args.suite == "robustness"
+        assert args.output == "out.json"
         assert args.workers == 3
         assert args.seed == 4
 
     def test_default_output_is_the_committed_artifact(self):
-        args = build_parser().parse_args(["robustness-bench"])
-        assert args.robustness_output == "ROBUSTNESS_PR5.json"
+        assert bench.SUITES["robustness"].output == "ROBUSTNESS_PR5.json"
 
 
 class TestPrecisionBench:
     def test_registered_outside_all(self):
-        assert "precision-bench" in COMMANDS
-        assert not COMMANDS["precision-bench"].in_all
+        assert "precision" in bench.SUITES
+        assert not COMMANDS["bench"].in_all
 
     def test_options_parsed(self):
         args = build_parser().parse_args(
-            ["precision-bench", "--smoke", "--precision-output", "p.json",
-             "--precision-baseline", "b.json",
-             "--precision-max-regression", "3.5"]
+            ["bench", "--suite", "precision", "--smoke", "--output",
+             "p.json", "--baseline", "b.json", "--max-regression", "3.5"]
         )
         assert args.smoke is True
-        assert args.precision_output == "p.json"
-        assert args.precision_baseline == "b.json"
-        assert args.precision_max_regression == 3.5
+        assert args.output == "p.json"
+        assert args.baseline == "b.json"
+        assert args.max_regression == 3.5
 
     def test_defaults_are_the_committed_artifact(self):
-        args = build_parser().parse_args(["precision-bench"])
-        assert args.precision_output == "BENCH_PR9.json"
-        assert args.precision_baseline == "BENCH_PR9.json"
+        args = build_parser().parse_args(["bench", "--suite", "precision"])
+        assert args.output is None and args.baseline is None
+        assert bench.SUITES["precision"].output == "BENCH_PR9.json"
 
 
 class TestBenchCompare:
@@ -215,9 +298,9 @@ class TestBenchCompare:
 class TestPersistCommands:
     def test_registered_outside_all(self):
         assert "store" in COMMANDS
-        assert "warm-bench" in COMMANDS
+        assert "warm" in bench.SUITES
         assert not COMMANDS["store"].in_all
-        assert not COMMANDS["warm-bench"].in_all
+        assert not COMMANDS["bench"].in_all
 
     def test_store_options_parsed(self):
         args = build_parser().parse_args(
@@ -227,9 +310,13 @@ class TestPersistCommands:
         assert args.gc is True
 
     def test_warm_bench_defaults_are_the_committed_artifact(self):
-        args = build_parser().parse_args(["warm-bench"])
+        args = build_parser().parse_args(["bench", "--suite", "warm"])
         assert args.store_path == ".wimi-store"
-        assert args.warm_output == "BENCH_PR6.json"
+        assert args.output is None
+        assert bench.SUITES["warm"].output == "BENCH_PR6.json"
+        assert bench.SUITES["warm"].sizes["full"]["store_path"] == (
+            ".wimi-store"
+        )
         assert args.gc is False
 
     def test_store_command_runs_on_empty_store(self, tmp_path, capsys):

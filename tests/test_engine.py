@@ -161,9 +161,10 @@ class TestStageCache:
 class TestStageCounter:
     def test_counts_executions_and_hits(self):
         counter = StageCounter()
-        counter(StageEvent(stage="s", key="k", cache_hit=False))
-        counter(StageEvent(stage="s", key="k", cache_hit=True))
-        counter(StageEvent(stage="s", key="k", cache_hit=True))
+        counter(StageEvent(stage="s", key="k", cache_hit=False,
+                           tier="compute"))
+        counter(StageEvent(stage="s", key="k", cache_hit=True, tier="memory"))
+        counter(StageEvent(stage="s", key="k", cache_hit=True, tier="memory"))
         assert counter.executions == {"s": 1}
         assert counter.hits == {"s": 2}
         assert counter.total("s") == 3

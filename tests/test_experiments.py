@@ -225,16 +225,21 @@ class TestRobustnessSweeps:
     def test_report_roundtrip(self, tmp_path):
         import json
 
-        from repro.experiments import robustness
+        from repro.experiments import bench, robustness
         from repro.experiments.robustness import ScenarioResult
 
         point = ScenarioResult(
             sweep="packet_loss", scenario="loss=0.1", parameter=0.1,
             total=10, correct=9, rejected=1, degraded=5,
         )
-        results = {"packet_loss": [point.to_dict()]}
+        results = {
+            "packet_loss": {
+                "materials": list(robustness.DEFAULT_MATERIALS),
+                "points": [point.to_dict()],
+            }
+        }
         path = tmp_path / "robustness.json"
-        report = robustness.write_report(path, results)
+        report = bench.write_report(path, "robustness", "full", results)
         assert json.loads(path.read_text()) == report
-        rendered = robustness.render_report(results)
+        rendered = robustness.SUITE.report("full", results)
         assert "loss=0.1" in rendered and "90.0%" in rendered

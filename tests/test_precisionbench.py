@@ -1,7 +1,7 @@
-"""Gate logic of the precision-bench harness.
+"""Gate logic of the precision benchmark suite.
 
 Mirrors ``test_perfbench.py``: the benchmarks themselves run in CI via
-``repro precision-bench --smoke``; these tests pin the suite's gate
+``repro bench --suite precision --smoke``; these tests pin the suite's gate
 semantics (accuracy floor, allocation-peak check, full-mode kernel
 speedup floor) without paying for a benchmark run -- plus one real
 smoke-sized run of the ring-buffer benchmark, whose tracemalloc
@@ -13,10 +13,9 @@ import pytest
 from repro.experiments.precisionbench import (
     _SIZES,
     MIN_KERNEL_SPEEDUP,
+    SUITE,
     bench_ring_buffer,
-    check_results,
-    render_report,
-    run_suite,
+    check,
 )
 
 
@@ -52,19 +51,19 @@ class TestGates:
             "identify_accuracy": _accuracy(),
             "ring_buffer": _ring(),
         }
-        assert check_results(results, "full") == []
-        assert check_results(results, "smoke") == []
+        assert check(results, "full") == []
+        assert check(results, "smoke") == []
 
     def test_accuracy_drop_fails_both_modes(self):
         results = {"identify_accuracy": _accuracy(f32=0.90, f64=0.95)}
         for mode in ("smoke", "full"):
-            failures = check_results(results, mode)
+            failures = check(results, mode)
             assert len(failures) == 1
             assert "accuracy" in failures[0]
 
     def test_allocation_peak_not_below_list_fails(self):
         results = {"ring_buffer": _ring(ring_peak=2000, list_peak=1000)}
-        failures = check_results(results, "smoke")
+        failures = check(results, "smoke")
         assert len(failures) == 1
         assert "allocation peak" in failures[0]
 
@@ -72,8 +71,8 @@ class TestGates:
         # Smoke workloads are too small for stable ratios; the 1.3x
         # floor is a property of the committed full-suite numbers.
         results = {"denoise": _result(1.1)}
-        assert check_results(results, "smoke") == []
-        failures = check_results(results, "full")
+        assert check(results, "smoke") == []
+        failures = check(results, "full")
         assert len(failures) == 1
         assert f"{MIN_KERNEL_SPEEDUP:.1f}x floor" in failures[0]
 
@@ -83,21 +82,23 @@ class TestGates:
             "simulate": _result(1.0),
             "gram": _result(1.0),
         }
-        assert len(check_results(results, "full")) == 3
+        assert len(check(results, "full")) == 3
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode must be one of"):
-        run_suite("turbo")
+        SUITE.run("turbo")
 
 
 def test_render_report_mentions_failures():
     results = {"identify_accuracy": _accuracy(f32=0.5, f64=1.0)}
-    failures = check_results(results, "smoke")
-    text = render_report("smoke", results, [], failures)
+    failures = check(results, "smoke")
+    text = SUITE.report("smoke", results, [], failures)
     assert "GATE FAILED" in text
-    clean = render_report("smoke", {"denoise": _result()}, [], [])
+    assert "accuracy: float64 1.000, float32 0.500" in text
+    clean = SUITE.report("smoke", {"ring_buffer": _ring()})
     assert "all gates passed" in clean
+    assert "alloc peak: ring 100 B vs list 1000 B" in clean
 
 
 def test_ring_buffer_benchmark_measures_lower_peak():

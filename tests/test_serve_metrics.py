@@ -130,9 +130,10 @@ class TestStageEventRecorder:
     def test_mirrors_hits_and_executions(self):
         reg = MetricsRegistry()
         rec = StageEventRecorder(reg)
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=False))
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=True))
-        rec(StageEvent(stage="amplitude_denoise", key="k", cache_hit=True))
+        for hit, tier in ((False, "compute"), (True, "memory"),
+                          (True, "memory")):
+            rec(StageEvent(stage="amplitude_denoise", key="k",
+                           cache_hit=hit, tier=tier))
         snap = reg.snapshot()["counters"]
         assert snap["stage.amplitude_denoise.executions"] == 1
         assert snap["stage.amplitude_denoise.hits"] == 2

@@ -1,16 +1,15 @@
 """Chaos soak harness: report plumbing fast, the full soak when slow.
 
-The real chaos schedule spawns worker processes and takes minutes, so
-it runs under ``REPRO_SLOW=1`` (the CI ``soak`` job); the report
-contract -- schema, gate accounting, rendering -- is cheap and always
-runs.
+The real chaos schedule spawns worker processes, so it runs under
+``REPRO_SLOW=1`` (the CI ``soak`` job); the report contract -- schema,
+gate accounting, rendering -- is cheap and always runs.
 """
 
 import json
 
 import pytest
 
-from repro.experiments import soakbench
+from repro.experiments import bench, soakbench
 
 
 def _synthetic_results(**gate_overrides) -> dict:
@@ -56,15 +55,17 @@ def _synthetic_results(**gate_overrides) -> dict:
 class TestReportContract:
     def test_write_report_stamps_schema_and_benchmark(self, tmp_path):
         path = tmp_path / "SOAK.json"
-        report = soakbench.write_report(path, _synthetic_results())
+        report = bench.write_report(
+            path, "soak", "smoke", {"soak": _synthetic_results()}
+        )
         assert report["schema"] == 1
-        assert report["benchmark"] == "chaos-soak"
+        assert report["benchmark"] == "soak"
         on_disk = json.loads(path.read_text())
         assert on_disk == report
-        assert on_disk["gates_passed"] is True
+        assert on_disk["suites"]["smoke"]["soak"]["gates_passed"] is True
 
     def test_render_mentions_every_mechanism(self):
-        text = soakbench.render_report(_synthetic_results())
+        text = soakbench.SUITE.report("smoke", {"soak": _synthetic_results()})
         for needle in (
             "sheds 26", "hedges 45", "redeliveries 4", "restarts 4",
             "opened 1", "closed 1", "quarantined: 375",
@@ -74,10 +75,13 @@ class TestReportContract:
             assert needle in text
 
     def test_render_names_the_failed_gates(self):
-        text = soakbench.render_report(
-            _synthetic_results(breaker_opened=False, hedged=False)
-        )
-        assert "GATES FAILED" in text
+        results = {
+            "soak": _synthetic_results(breaker_opened=False, hedged=False)
+        }
+        failures = soakbench.check(results, "smoke")
+        assert len(failures) == 2
+        text = soakbench.SUITE.report("smoke", results, failures=failures)
+        assert "GATE FAILED" in text
         assert "breaker_opened" in text and "hedged" in text
         assert "all gates passed" not in text
 

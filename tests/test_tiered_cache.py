@@ -142,15 +142,15 @@ class TestAccounting:
 
 
 class TestEventsAndCounter:
-    def test_event_tier_defaults_preserve_old_call_sites(self):
-        assert StageEvent("s", "k", cache_hit=True).tier == TIER_MEMORY
-        assert StageEvent("s", "k", cache_hit=False).tier == TIER_COMPUTE
+    def test_event_tier_is_required(self):
+        with pytest.raises(TypeError):
+            StageEvent("s", "k", cache_hit=True)
         assert StageEvent("s", "k", True, tier=TIER_DISK).tier == TIER_DISK
 
     def test_counter_breaks_out_disk_hits(self):
         counter = StageCounter()
-        counter(StageEvent("s", "k1", cache_hit=False))
-        counter(StageEvent("s", "k1", cache_hit=True))
+        counter(StageEvent("s", "k1", cache_hit=False, tier=TIER_COMPUTE))
+        counter(StageEvent("s", "k1", cache_hit=True, tier=TIER_MEMORY))
         counter(StageEvent("s", "k1", True, tier=TIER_DISK))
         assert counter.executions == {"s": 1}
         assert counter.hits == {"s": 2}
