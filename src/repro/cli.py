@@ -46,6 +46,10 @@ def _package_version() -> str:
         return repro.__version__
 
 
+#: Deployment seed of the figure commands when ``--seed`` is not given.
+FIGURE_SEED = 1
+
+
 def _fig02(args) -> str:
     data = F.phase_calibration_microbenchmark(seed=args.seed)
     return R.format_scalar_table(
@@ -171,7 +175,20 @@ def _fig21(args) -> str:
 def _bench(args) -> str:
     """``repro bench --suite NAME``: run, record and gate one suite
     (see :func:`repro.experiments.bench.execute`); exits non-zero when
-    its check fails or a gated timing regressed."""
+    its check fails or a gated timing regressed, and with status 2 when
+    given a ``--seed``/``--workers``/``--store-path`` the suite does not
+    take."""
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "workers", "store_path")
+        if getattr(args, key) is not None
+    }
+    try:
+        bench.SUITES[args.suite].sizes_for(
+            "smoke" if args.smoke else "full", **overrides
+        )
+    except ValueError as exc:
+        build_parser().error(str(exc))
     passed, report = bench.execute(
         args.suite,
         smoke=args.smoke,
@@ -179,9 +196,7 @@ def _bench(args) -> str:
         baseline=args.baseline,
         max_regression=args.max_regression,
         progress=lambda name: print(f"  running {name}...", flush=True),
-        seed=args.seed,
-        workers=args.workers,
-        store_path=args.store_path,
+        **overrides,
     )
     if not passed:
         raise SystemExit(report)
@@ -209,9 +224,10 @@ def _store(args) -> str:
     ``--gc`` additionally prunes stale temp files and entries that
     fail integrity verification.
     """
+    from repro.experiments.warmbench import STORE_ROOT
     from repro.persist.store import ArtifactStore
 
-    store = ArtifactStore(args.store_path)
+    store = ArtifactStore(args.store_path or STORE_ROOT)
     stats = store.stats()
     lines = [
         f"artifact store at {stats['root']}",
@@ -310,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--seed", type=int, default=1,
-        help="deployment seed of the figures and the warm, cluster, soak "
-        "and robustness suites (default 1)",
+        "--seed", type=int, default=None,
+        help=f"deployment seed of the figures (default {FIGURE_SEED}) and "
+        "of the warm, cluster, soak and robustness suites (default: the "
+        "suite's)",
     )
     suite = parser.add_argument_group("bench options")
     suite.add_argument(
@@ -340,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stream; <= 0 disables the gate)",
     )
     suite.add_argument(
-        "--workers", type=int, default=2,
-        help="worker threads/processes of the serving, cluster, soak and "
-        "robustness workloads (default 2)",
+        "--workers", type=int, default=None,
+        help="worker threads/processes of the perf, cluster, soak and "
+        "robustness suites (default: the suite's)",
     )
     compare = parser.add_argument_group("bench-compare options")
     compare.add_argument(
@@ -361,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     persist = parser.add_argument_group("store / warm suite options")
     persist.add_argument(
-        "--store-path", default=".wimi-store",
-        help="artifact store / registry root directory "
-        "(default .wimi-store)",
+        "--store-path", default=None,
+        help="artifact store / registry root directory of the store "
+        "command and the warm suite (default .wimi-store)",
     )
     persist.add_argument(
         "--gc", action="store_true",
@@ -379,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     valid choices spelled out on stderr.
     """
     args = build_parser().parse_args(argv)
+    if args.command != "bench" and args.seed is None:
+        args.seed = FIGURE_SEED
     if args.command == "list":
         width = max(len(name) for name in COMMANDS)
         for name in sorted(COMMANDS):

@@ -89,6 +89,16 @@ def speedup_table(results: dict, new: str, old: str) -> list[str]:
     return lines
 
 
+def stage_cache_table(stage_cache: dict) -> list[str]:
+    """Per-stage executions, memory/disk hits and hit rate, one row each
+    (a :meth:`repro.engine.StageCache.snapshot`)."""
+    return [
+        f"    {stage:<22} {s['misses']:>6d} exec {s['memory_hits']:>7d} mem "
+        f"{s['disk_hits']:>5d} disk {s['hit_rate']:>8.1%}"
+        for stage, s in sorted(stage_cache.items())
+    ]
+
+
 @dataclass(frozen=True)
 class Suite:
     """One registered benchmark suite.
@@ -97,8 +107,9 @@ class Suite:
         name: The ``--suite`` value; also stamped into the report.
         title: One-line description (heading of the rendered report).
         sizes: Workload sizes per mode (``smoke``/``full``).  A run may
-            override the keys a mode declares (``seed``, ``workers``,
-            ``store_path``) from the command line.
+            override the keys a mode declares (e.g. ``seed``,
+            ``workers``, ``store_path`` from the command line); any
+            other override is an error.
         cases: ``cases(sizes)`` yields ``(case name, thunk)`` pairs;
             each thunk returns the case's JSON-ready result entry.
             Cases sharing setup (a fitted deployment) build it in the
@@ -122,18 +133,29 @@ class Suite:
     gated_fields: tuple[str, ...] = ()
     max_regression: float = 0.0
 
-    def run(self, mode: str, progress=None, **overrides) -> dict:
-        """Run every case at ``mode`` sizes; returns ``{case: entry}``.
+    def sizes_for(self, mode: str, **overrides) -> dict:
+        """The ``mode`` workload sizes with ``overrides`` applied.
 
-        ``overrides`` replace the mode's declared size keys (unknown
-        keys are ignored, so one set of CLI options serves every suite).
+        Raises ValueError for an unknown mode or an override the mode
+        does not declare (a perf run takes no ``seed``), so a setting
+        the workload would ignore fails instead of being misreported.
         """
         if mode not in self.sizes:
             raise ValueError(
                 f"mode must be one of {sorted(self.sizes)}, got {mode!r}"
             )
-        sizes = dict(self.sizes[mode])
-        sizes.update((k, v) for k, v in overrides.items() if k in sizes)
+        unknown = sorted(set(overrides) - set(self.sizes[mode]))
+        if unknown:
+            raise ValueError(
+                f"suite {self.name!r} has no setting "
+                + ", ".join(repr(key) for key in unknown)
+            )
+        return {**self.sizes[mode], **overrides}
+
+    def run(self, mode: str, progress=None, **overrides) -> dict:
+        """Run every case at :meth:`sizes_for` sizes; returns
+        ``{case: entry}``."""
+        sizes = self.sizes_for(mode, **overrides)
         results = {}
         for name, case in self.cases(sizes):
             if progress is not None:

@@ -14,10 +14,10 @@ SMO prediction agreement, and served labels equal to the sequential
 ones.  The baseline gate fails a run whose ``new_s`` exceeds twice the
 committed smoke/full number.
 
-Latency percentiles for the serving benchmark come from the same
-:class:`repro.serve.metrics.Histogram` instruments the service exports
-at runtime -- the benchmark reads the service snapshot rather than
-keeping its own sample buffers.
+Latency percentiles and the batching/cache dashboard of the serving
+benchmark come from the same :mod:`repro.serve.metrics` instruments the
+service exports at runtime -- the benchmark reads the service snapshot
+rather than keeping its own sample buffers.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.experiments.bench import (
     best_of,
     lab_split,
     speedup_table,
+    stage_cache_table,
     violations,
 )
 from repro.experiments.datasets import standard_scene
@@ -287,8 +288,9 @@ def bench_identify(sizes: dict) -> dict:
 def bench_serve(sizes: dict) -> dict:
     """Online service throughput vs sequential cold-cache requests.
 
-    Latency percentiles are read from the service's own
-    :class:`~repro.serve.metrics.Histogram` snapshot.
+    Latency percentiles, the batch-size distribution, the request and
+    cache-tier counters and the per-stage hit rates are read from the
+    service's own metrics snapshot.
     """
     from repro.serve import IdentificationService, ServiceConfig
 
@@ -310,7 +312,9 @@ def bench_serve(sizes: dict) -> dict:
         served = [h.result(timeout=60.0) for h in handles]
     new_s = time.perf_counter() - t0
 
-    latency = service.snapshot()["histograms"]["latency_ms"]
+    snap = service.snapshot()
+    latency = snap["histograms"]["latency_ms"]
+    batches = snap["histograms"]["batch_size"]
     return {
         "new_s": new_s,
         "baseline_s": baseline_s,
@@ -321,6 +325,16 @@ def bench_serve(sizes: dict) -> dict:
         },
         "predictions_identical": served == sequential,
         "requests": len(workload),
+        "batch_size": {
+            "count": batches["count"],
+            "mean": batches["mean"],
+            "buckets": {str(b): n for b, n in batches["buckets"].items()},
+        },
+        "counters": {
+            name: value for name, value in snap["counters"].items()
+            if name.startswith(("requests.", "cache."))
+        },
+        "stage_cache": snap["stage_cache"],
     }
 
 
@@ -366,6 +380,24 @@ def render(results: dict) -> list[str]:
             f"  serve latency ms: p50 {latency['p50']:.2f}  "
             f"p95 {latency['p95']:.2f}  p99 {latency['p99']:.2f}  "
             f"max {latency['max']:.2f}",
+        ]
+    # The committed BENCH_PR4.json predates the recorded dashboard.
+    if serve and "stage_cache" in serve:
+        batches, counters = serve["batch_size"], serve["counters"]
+        lines += [
+            f"  serve batches: {batches['count']} dispatched, mean size "
+            f"{batches['mean']:.2f}, size histogram {batches['buckets']}",
+            "  serve requests: " + ", ".join(
+                f"{counters['requests.' + n]} {n}"
+                for n in ("completed", "failed", "rejected", "retries",
+                          "expired")
+            ),
+            "  serve cache tiers: " + ", ".join(
+                f"{counters['cache.' + n]} {n.replace('_', ' ')}"
+                for n in ("memory_hits", "disk_hits", "misses")
+            ),
+            "  serve stage cache (shared across workers):",
+            *stage_cache_table(serve["stage_cache"]),
         ]
     return lines
 

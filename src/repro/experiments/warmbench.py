@@ -33,17 +33,26 @@ from repro.core.config import WiMiConfig
 from repro.core.feature import theory_reference_omegas
 from repro.core.pipeline import WiMi
 from repro.engine import StageCounter
-from repro.experiments.bench import LAB_LIQUIDS, Suite, lab_split, violations
+from repro.experiments.bench import (
+    LAB_LIQUIDS,
+    Suite,
+    lab_split,
+    stage_cache_table,
+    violations,
+)
 from repro.persist.store import ArtifactStore
 
 #: Smallest cold-over-warm speedup :func:`check` accepts.
 MIN_WARM_SPEEDUP = 5.0
 
+#: Default root of the artifact store and model registry.
+STORE_ROOT = ".wimi-store"
+
 #: Paper-protocol capture sizes, kept small enough for CI.  The store
 #: and registry live under ``store_path``.
 _SIZES = dict.fromkeys(
     ("smoke", "full"),
-    {"seed": 1, "repetitions": 6, "packets": 10, "store_path": ".wimi-store"},
+    {"seed": 1, "repetitions": 6, "packets": 10, "store_path": STORE_ROOT},
 )
 
 
@@ -196,15 +205,8 @@ def render(results: dict) -> list[str]:
     if repeat:
         lines += [
             "  repeat_pass (stage cache):",
-            f"    {'stage':<22} {'executions':>10} {'memory':>8} "
-            f"{'disk':>6} {'hit rate':>9}",
+            *stage_cache_table(repeat["stage_cache"]),
         ]
-        for stage, stats in sorted(repeat["stage_cache"].items()):
-            lines.append(
-                f"    {stage:<22} {stats['misses']:>10d} "
-                f"{stats['memory_hits']:>8d} {stats['disk_hits']:>6d} "
-                f"{stats['hit_rate']:>8.1%}"
-            )
         lines.append(
             "    denoiser stage executions: first identify pass "
             f"{repeat['first_pass_denoise_executions']}, repeat pass "

@@ -190,6 +190,10 @@ class TestSuiteContract:
         with pytest.raises(ValueError, match="mode must be one of"):
             bench.SUITES[name].run("warp-speed")
 
+    def test_undeclared_setting_rejected(self, name):
+        with pytest.raises(ValueError, match="has no setting 'warp'"):
+            bench.SUITES[name].run("smoke", warp=9)
+
     def test_modes_declared(self, name):
         assert set(bench.SUITES[name].sizes) == {"smoke", "full"}
 

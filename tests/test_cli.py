@@ -111,6 +111,12 @@ class TestExecution:
         for removed in REMOVED_COMMANDS:
             assert removed not in out
 
+    def test_figure_seed_defaults_to_1(self, capsys):
+        assert main(["fig08"]) == 0
+        default = capsys.readouterr().out
+        assert main(["fig08", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_fast_figure_runs(self, capsys):
         assert main(["fig08", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -131,6 +137,9 @@ class TestExecution:
         out = perfbench.SUITE.report("smoke", {"serve": result})
         assert "p50" in out and "p95" in out and "p99" in out
         assert "req/s" in out
+        assert "batch" in out
+        assert "rejected" in out and "retries" in out
+        assert "stage cache" in out
         assert "predictions identical: yes" in out
         assert perfbench.check({"serve": result}, "smoke") == []
 
@@ -175,6 +184,39 @@ class TestBench:
         assert bench.SUITES["perf"].max_regression == 2.0
         assert bench.SUITES["stream"].max_regression == 3.0
         assert bench.SUITES["precision"].max_regression == 2.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "perf", "--seed", "3"],
+        ["--suite", "stream", "--workers", "4"],
+        ["--suite", "cluster", "--store-path", "elsewhere"],
+    ])
+    def test_setting_the_suite_ignores_exits_2(self, argv, tmp_path,
+                                                capsys):
+        # A flag the suite's workload would ignore fails before any run
+        # instead of reporting a run it did not do.
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", *argv, "--output", str(out)])
+        assert excinfo.value.code == 2
+        setting = argv[2].lstrip("-").replace("-", "_")
+        assert f"has no setting '{setting}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_declared_settings_reach_the_workload(self, tmp_path,
+                                                  monkeypatch):
+        seen = {}
+
+        def cases(sizes):
+            seen.update(sizes)
+            return iter(())
+
+        monkeypatch.setitem(bench.SUITES, "warm", dataclasses.replace(
+            bench.SUITES["warm"], cases=cases
+        ))
+        main(["bench", "--suite", "warm", "--seed", "5", "--store-path",
+              str(tmp_path / "s"), "--output", str(tmp_path / "o.json")])
+        assert seen["seed"] == 5
+        assert seen["store_path"] == str(tmp_path / "s")
 
     @pytest.mark.parametrize("removed", REMOVED_COMMANDS)
     def test_removed_commands_exit_2(self, removed, capsys):
@@ -311,7 +353,8 @@ class TestPersistCommands:
 
     def test_warm_bench_defaults_are_the_committed_artifact(self):
         args = build_parser().parse_args(["bench", "--suite", "warm"])
-        assert args.store_path == ".wimi-store"
+        # No --store-path: the suite's own (and the store command's).
+        assert args.store_path is None
         assert args.output is None
         assert bench.SUITES["warm"].output == "BENCH_PR6.json"
         assert bench.SUITES["warm"].sizes["full"]["store_path"] == (
