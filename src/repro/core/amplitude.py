@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.validation import validate_antenna, validate_antenna_pair
-from repro.csi.model import CsiTrace
-from repro.dsp.precision import real_dtype
-from repro.dsp.stats import finite_mean, finite_median
-from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
+from repro.csi.model import CsiTrace, trace_fingerprint
+from repro.dsp.stats import finite_mean
+from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, denoise_columns
 
 #: Amplitudes below this are clamped before ratios/logs (quantisation can
 #: produce exact zeros).
@@ -43,9 +42,10 @@ class AmplitudeProcessor:
         # Denoising all (subcarrier, antenna) series of a trace is the
         # pipeline's hot spot and several consumers (each antenna pair,
         # the coarse pair) ask for the same trace; memoise per trace
-        # identity.  Traces are de-facto immutable after capture.
-        self._cache: dict[int, np.ndarray] = {}
-        self._cache_order: list[int] = []
+        # content.  Object ids would not do: CPython reuses the id of a
+        # freed trace for the next one allocated.
+        self._cache: dict[str, np.ndarray] = {}
+        self._cache_order: list[str] = []
 
     # ------------------------------------------------------------------
 
@@ -55,7 +55,7 @@ class AmplitudeProcessor:
         With ``denoise=False`` the raw amplitudes are returned (the
         Fig. 14 ablation).
         """
-        key = id(trace)
+        key = trace_fingerprint(trace)
         if key in self._cache:
             return self._cache[key]
         cleaned = self.compute_clean_amplitudes(trace)
@@ -69,49 +69,49 @@ class AmplitudeProcessor:
     def compute_clean_amplitudes(self, trace: CsiTrace) -> np.ndarray:
         """Uncached denoising pass over one trace, shape ``(M, K, A)``.
 
-        This is the single entry point the stage-graph engine's
-        ``amplitude_denoise`` stage calls: the engine memoizes the result
-        in its :class:`repro.engine.cache.StageCache` (keyed by the
-        trace's *content* hash, not object identity), so every denoiser
-        invocation in the engine path is observable through stage hooks.
+        The one-trace case of :meth:`compute_clean_amplitudes_many`.
         """
-        amps = trace.amplitudes()
-        if amps.size == 0:
+        return self.compute_clean_amplitudes_many([trace])[0]
+
+    def compute_clean_amplitudes_many(
+        self, traces: list[CsiTrace]
+    ) -> list[np.ndarray]:
+        """Uncached denoising of many traces, one ``(M, K, A)`` cube each.
+
+        The stage-graph engine's ``amplitude_denoise`` stage calls this
+        and memoizes each cube in its :class:`repro.engine.cache.StageCache`
+        (keyed by the trace's *content* hash, not object identity), so
+        every denoiser invocation in the engine path is observable
+        through stage hooks.
+
+        Traces with the same packet count ``M`` are denoised together:
+        their ``(M, K*A)`` (subcarrier, antenna) columns are concatenated
+        into one block and go through one denoiser call.  Imputation,
+        dead-column restore and every denoiser step are per column, so
+        each cube is bit-identical to denoising its trace alone.  With
+        ``denoise=False`` the raw amplitudes are returned (the Fig. 14
+        ablation).
+        """
+        cubes = [trace.amplitudes() for trace in traces]
+        if any(cube.size == 0 for cube in cubes):
             raise ValueError("empty trace")
         if not self.denoise:
-            return np.clip(amps, _AMPLITUDE_EPS, None)
-        num_packets, num_sc, num_ant = amps.shape
-        # One batched denoiser pass over all (subcarrier, antenna)
-        # columns at once: (M, K, A) -> (M, K*A) -> denoise -> back.
-        # Cast up front to the denoiser's working precision so the
-        # imputation/reshape traffic runs at it too (no-op for float64).
-        columns = amps.reshape(num_packets, num_sc * num_ant).astype(
-            real_dtype(self.denoiser.precision), copy=False
-        )
-        # The wavelet convolution would smear a single NaN over the whole
-        # series; impute degraded samples with the series' finite median
-        # first.  A fully dead series has no median to impute from -- it
-        # is denoised as zeros and restored to NaN afterwards, so the
-        # quality-driven channel exclusion (not silent garbage) decides
-        # its fate.
-        finite = np.isfinite(columns)
-        dead_columns = None
-        if not finite.all():
-            medians = finite_median(columns, axis=0)
-            fill = np.where(np.isfinite(medians), medians, 0.0)
-            columns = np.where(finite, columns, fill[None, :])
-            dead = ~finite.any(axis=0)
-            if dead.any():
-                dead_columns = dead
-        if num_packets < 4:
-            # Too short for the wavelet stage; outliers only.
-            cleaned, _ = remove_outliers(columns, self.denoiser.outlier_sigmas)
-        else:
-            cleaned = self.denoiser.denoise(columns)
-        if dead_columns is not None:
-            cleaned = np.where(dead_columns[None, :], np.nan, cleaned)
-        cleaned = cleaned.reshape(num_packets, num_sc, num_ant)
-        return np.clip(cleaned, _AMPLITUDE_EPS, None)
+            return [np.clip(cube, _AMPLITUDE_EPS, None) for cube in cubes]
+        by_length: dict[int, list[int]] = {}
+        for i, cube in enumerate(cubes):
+            by_length.setdefault(cube.shape[0], []).append(i)
+        cleaned: dict[int, np.ndarray] = {}
+        for num_packets, members in by_length.items():
+            blocks = [cubes[i].reshape(num_packets, -1) for i in members]
+            denoised = denoise_columns(
+                np.concatenate(blocks, axis=1), self.denoiser
+            )
+            edges = np.cumsum([block.shape[1] for block in blocks])[:-1]
+            for i, part in zip(members, np.split(denoised, edges, axis=1)):
+                cleaned[i] = np.clip(
+                    part.reshape(cubes[i].shape), _AMPLITUDE_EPS, None
+                )
+        return [cleaned[i] for i in range(len(cubes))]
 
     def amplitude_ratio(
         self, trace: CsiTrace, pair: tuple[int, int]

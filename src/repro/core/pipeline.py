@@ -603,13 +603,18 @@ class WiMi:
         sessions: list[CaptureSession],
         true_omegas: list[float | None] | None = None,
     ) -> list[SessionFeatures]:
-        """Extract many sessions with one denoiser pass per trace.
+        """Extract many sessions with one stacked denoiser pass.
 
         Equivalent to ``[self.extract(s, t) for s, t in zip(...)]`` --
         the results are bit-identical -- but the denoising stage is
-        warmed for the whole batch up front, so every antenna pair
-        (feature pairs *and* the coarse pair) shares a single cleaned
-        amplitude cube per trace.
+        warmed for the whole batch up front by one
+        :meth:`~repro.engine.graph.PipelineEngine.amplitude_denoise_batch`
+        call: every trace the cache lacks is denoised in one denoiser
+        call per packet count (each distinct trace once), and every
+        antenna pair (feature pairs *and* the coarse pair) then shares
+        that single cleaned amplitude cube per trace.  Stage counts are
+        those of per-trace warm-up: one ``amplitude_denoise`` execution
+        per uncached trace, hits for the rest.
 
         Args:
             sessions: Sessions to extract.
@@ -623,11 +628,11 @@ class WiMi:
                 f"true_omegas length {len(true_omegas)} does not match "
                 f"{len(sessions)} sessions"
             )
-        # Single denoiser pass per trace: warm the hot stage for the
-        # whole batch before any per-pair work fans out over the cubes.
-        for session in sessions:
-            self.engine.amplitude_denoise(session.baseline)
-            self.engine.amplitude_denoise(session.target)
+        # Warm the hot stage for the whole batch in one stacked pass
+        # before any per-pair work fans out over the cubes.
+        self.engine.amplitude_denoise_batch(
+            [trace for s in sessions for trace in (s.baseline, s.target)]
+        )
         return [
             self.extract(session, true_omega=omega)
             for session, omega in zip(sessions, true_omegas)

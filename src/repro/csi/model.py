@@ -8,6 +8,7 @@ is why nothing downstream of this module knows the data is synthetic.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,3 +142,36 @@ class CsiTrace:
             for m in range(matrix.shape[0])
         ]
         return CsiTrace(packets=packets, carrier_hz=carrier_hz, label=label)
+
+
+#: Attribute a computed content hash is pinned under on traces/sessions.
+FINGERPRINT_ATTR = "_engine_fingerprint"
+
+
+def hash_array(h: "hashlib._Hash", array: np.ndarray) -> None:
+    """Feed an array's shape, dtype and bytes into a running hash."""
+    array = np.ascontiguousarray(array)
+    h.update(str(array.shape).encode())
+    h.update(str(array.dtype).encode())
+    h.update(array.tobytes())
+
+
+def trace_fingerprint(trace) -> str:
+    """Content hash of one :class:`repro.csi.model.CsiTrace`.
+
+    Hashes the dense complex matrix, so two traces with identical CSI get
+    the same fingerprint regardless of labels or timestamps.  The result
+    is pinned on the trace (traces are de-facto immutable after capture),
+    so repeated calls are O(1).
+    """
+    cached = getattr(trace, FINGERPRINT_ATTR, None)
+    if cached is not None:
+        return cached
+    h = hashlib.blake2b(digest_size=16)
+    hash_array(h, trace.matrix())
+    fingerprint = h.hexdigest()
+    try:
+        object.__setattr__(trace, FINGERPRINT_ATTR, fingerprint)
+    except (AttributeError, TypeError):
+        pass  # exotic trace type without a __dict__; recompute next time
+    return fingerprint

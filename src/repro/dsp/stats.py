@@ -265,8 +265,35 @@ def mad_axis(x: np.ndarray, axis: int = 0) -> np.ndarray:
         x = x.astype(float, copy=False)
     if x.size == 0:
         raise ValueError("mad of an empty array is undefined")
-    med = np.median(x, axis=axis, keepdims=True)
-    return np.median(np.abs(x - med), axis=axis)
+    # Sort each slice on a contiguous layout and pick its middle: many
+    # times faster than np.median's strided partition, same bits.
+    ranked = np.sort(np.ascontiguousarray(np.moveaxis(x, axis, -1)), axis=-1)
+    med = sorted_median(ranked)
+    return sorted_median(np.sort(np.abs(ranked - med[..., None]), axis=-1))
+
+
+def sorted_median(
+    ranked: np.ndarray, count: np.ndarray | int | None = None
+) -> np.ndarray:
+    """Median of the first ``count`` entries of each row of ``ranked``.
+
+    ``ranked`` is sorted along its last axis (NaNs last, as ``np.sort``
+    leaves them); ``count`` (>= 1, per row or one for all) defaults to
+    the whole row.  The middle order statistic(s) are picked and an even
+    pair is averaged as ``(lo + hi) / 2`` in ``ranked``'s dtype -- bit
+    for bit what ``np.median`` returns over those entries, including NaN
+    for a row that holds one.
+    """
+    if count is None:
+        count = ranked.shape[-1]
+    count = np.broadcast_to(np.asarray(count), ranked.shape[:-1])
+
+    def rank(k: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(ranked, k[..., None], axis=-1)[..., 0]
+
+    lo, hi = rank((count - 1) // 2), rank(count // 2)
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    return np.where(np.isnan(rank(count - 1)), np.nan, median)
 
 
 def robust_sigma_axis(x: np.ndarray, axis: int = 0) -> np.ndarray:

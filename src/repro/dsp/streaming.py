@@ -34,9 +34,9 @@ from collections import deque
 
 import numpy as np
 
-from repro.dsp.precision import complex_dtype, real_dtype
-from repro.dsp.stats import finite_median, mad
-from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, remove_outliers
+from repro.dsp.precision import complex_dtype
+from repro.dsp.stats import mad
+from repro.dsp.wavelet_denoise import SpatiallySelectiveDenoiser, denoise_columns
 
 
 class RunningCircularStats:
@@ -178,45 +178,6 @@ class RollingMad:
         return mad(np.asarray(self._values))
 
 
-def denoise_window(
-    rows: np.ndarray, denoiser: SpatiallySelectiveDenoiser
-) -> np.ndarray:
-    """Denoise one ``(window, channels)`` slab of raw amplitude rows.
-
-    Mirrors the per-trace treatment of
-    ``AmplitudeProcessor.compute_clean_amplitudes`` scaled down to one
-    window: non-finite samples are imputed with the column's in-window
-    finite median, columns dead for the whole window are restored to NaN
-    afterwards (quality gating, not silent garbage, decides their fate),
-    and windows shorter than 4 packets get outlier rejection only.  No
-    amplitude clipping here -- the consumer clips once after
-    overlap-add, like the batch path clips once per cube.
-    """
-    rows = np.asarray(rows, dtype=real_dtype(denoiser.precision))
-    if rows.ndim != 2:
-        raise ValueError(
-            f"expected (window, channels) rows, got shape {rows.shape}"
-        )
-    if rows.size == 0:
-        raise ValueError("empty window")
-    finite = np.isfinite(rows)
-    dead_columns = None
-    if not finite.all():
-        medians = finite_median(rows, axis=0)
-        fill = np.where(np.isfinite(medians), medians, 0.0)
-        rows = np.where(finite, rows, fill[None, :])
-        dead = ~finite.any(axis=0)
-        if dead.any():
-            dead_columns = dead
-    if rows.shape[0] < 4:
-        cleaned, _ = remove_outliers(rows, denoiser.outlier_sigmas)
-    else:
-        cleaned = denoiser.denoise(rows)
-    if dead_columns is not None:
-        cleaned = np.where(dead_columns[None, :], np.nan, cleaned)
-    return cleaned
-
-
 class OverlapWindowDenoiser:
     """Windowed overlap-add variant of the Sec. III-C amplitude denoiser.
 
@@ -280,8 +241,15 @@ class OverlapWindowDenoiser:
         return starts
 
     def denoise_window(self, rows: np.ndarray) -> np.ndarray:
-        """Denoise one window slab (see :func:`denoise_window`)."""
-        return denoise_window(rows, self.denoiser)
+        """Denoise one ``(window, channels)`` slab of raw amplitude rows.
+
+        :func:`~repro.dsp.wavelet_denoise.denoise_columns` on the window:
+        the per-trace treatment of
+        ``AmplitudeProcessor.compute_clean_amplitudes`` scaled down to
+        one window.  No amplitude clipping here -- the consumer clips
+        once after overlap-add, like the batch path clips once per cube.
+        """
+        return denoise_columns(rows, self.denoiser)
 
     @staticmethod
     def accumulate(

@@ -306,15 +306,13 @@ def _atrous_correlate(x: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
         return out.astype(x.dtype, copy=False)
     # Index-matrix gather + matmul, the same tap-summation order as the
     # scalar reference: each output element is one K-tap dot product, so
-    # the 1-D result is bit-identical to _reference_atrous_correlate and
-    # the 2-D result to its per-column application.  The denoiser's
-    # extract-and-repeat loop compares coefficients exactly, so ulp-level
-    # reassociation here would flip its masks.
+    # the 1-D result is bit-identical to _reference_atrous_correlate.
+    # The denoiser's extract-and-repeat loop compares coefficients
+    # exactly, so ulp-level reassociation here would flip its masks.
     idx = (np.arange(n)[:, None] + hole * np.arange(filt.size)[None, :]) % n
     if x.ndim == 1:
         return x[idx] @ filt
-    gathered = np.moveaxis(x[idx], 1, 2)  # (n, channels, taps)
-    return (gathered.reshape(-1, filt.size) @ filt).reshape(n, -1)
+    return _tap_sum(x, idx, filt)
 
 
 def _atrous_adjoint(y: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
@@ -330,8 +328,26 @@ def _atrous_adjoint(y: np.ndarray, filt: np.ndarray, hole: int) -> np.ndarray:
     idx = (np.arange(n)[:, None] - hole * np.arange(filt.size)[None, :]) % n
     if y.ndim == 1:
         return y[idx] @ filt
-    gathered = np.moveaxis(y[idx], 1, 2)  # (n, channels, taps)
-    return (gathered.reshape(-1, filt.size) @ filt).reshape(n, -1)
+    return _tap_sum(y, idx, filt)
+
+
+def _tap_sum(x: np.ndarray, idx: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """``out[t, c] = sum_k x[idx[t, k], c] * filt[k]`` in one fixed order.
+
+    The upper half of the tap products is folded onto the lower half
+    until one term is left, so a column's result does not depend on the
+    columns stacked beside it; a BLAS matvec's rounding does (float32,
+    6- and 8-tap banks).  For db2 in float64 the fold is the 1-D
+    matvec's order, so columns equal the 1-D transform bit for bit
+    (pinned by ``tests/test_perf_equivalence.py``).
+    """
+    terms = [x[idx[:, k]] * filt[k] for k in range(filt.size)]
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = [
+            terms[k] + terms[k + half] for k in range(half)
+        ] + terms[2 * half:]
+    return terms[0]
 
 
 def max_swt_level(signal_length: int, wavelet: Wavelet) -> int:

@@ -29,25 +29,34 @@ Batched operation
 -----------------
 Every entry point accepts either a 1-D series ``(time,)`` or a 2-D
 ``(time, channels)`` array.  In the 2-D form the wavelet transform runs
-along axis 0 for all channels at once and the extract-and-repeat loop
-keeps a per-channel *active mask* (each channel stops iterating at its
-own threshold), so one call denoises every (subcarrier, antenna) column
-of a CSI trace -- the pipeline's hot path.  Per-channel results equal
-the corresponding 1-D call to within floating-point summation order
-(<= 1e-9; see ``tests/test_perf_equivalence.py``).  The original scalar
-implementations are kept as ``_reference_*`` for the equivalence tests
-and the perf suite's baseline.
+along axis 0 for all channels at once, and the extract-and-repeat loop
+of each scale iterates over the channels still active only (each channel
+stops at its own threshold and drops out of the working set), so one
+call denoises every (subcarrier, antenna) column of a CSI trace.  Every
+step -- outlier screening, survivor median, transform, loop, stopping
+threshold -- is per column, so a block that concatenates the columns of
+many traces (see :func:`denoise_columns`) denoises each trace exactly as
+a call on its own columns would, bit for bit: ``WiMi.extract_batch``
+denoises a whole batch in one call per packet count.  Per-channel results
+equal the corresponding 1-D call to within floating-point summation
+order (<= 1e-9; see ``tests/test_perf_equivalence.py``).  The original
+scalar implementations are kept as ``_reference_*`` for the equivalence
+tests and the perf suite's baseline.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dsp.precision import real_dtype, validate_precision
-from repro.dsp.stats import robust_sigma, robust_sigma_axis
+from repro.dsp.stats import (
+    finite_median,
+    robust_sigma,
+    robust_sigma_axis,
+    sorted_median,
+)
 from repro.dsp.wavelet import (
     Wavelet,
     _reference_iswt,
@@ -135,13 +144,70 @@ def remove_outliers(
         np.abs(x[:, screened] - mu[screened])
         > num_sigmas * sigma[screened]
     )
-    # Outlier-bearing columns are rare; only they need the survivor
-    # median (which has no clean full-array vectorization).
-    for c in np.nonzero(mask.any(axis=0))[0]:
-        survivors = x[~mask[:, c], c]
-        fill = float(np.median(survivors)) if survivors.size else float(mu[c])
-        cleaned[mask[:, c], c] = fill
+    hit = np.nonzero(mask.any(axis=0))[0]
+    if hit.size:
+        fill = _survivor_median(x[:, hit], mask[:, hit], mu[hit])
+        cleaned[:, hit] = np.where(mask[:, hit], fill[None, :], x[:, hit])
     return cleaned, mask
+
+
+def _survivor_median(
+    x: np.ndarray, outliers: np.ndarray, fallback: np.ndarray
+) -> np.ndarray:
+    """Per-column median of the samples ``outliers`` leaves, ``(channels,)``.
+
+    Outliers sort to the end of each column as +inf, so the survivors
+    are the leading ranks; see :func:`~repro.dsp.stats.sorted_median`.
+    A column without survivors gets ``fallback``.  Screened columns are
+    finite (a non-finite column has NaN sigma and is never screened).
+    """
+    ranked = np.sort(
+        np.ascontiguousarray(np.where(outliers, np.inf, x).T), axis=-1
+    )
+    count = x.shape[0] - outliers.sum(axis=0)
+    median = sorted_median(ranked, np.maximum(count, 1))
+    return np.where(count > 0, median, fallback)
+
+
+def denoise_columns(
+    columns: np.ndarray, denoiser: "SpatiallySelectiveDenoiser"
+) -> np.ndarray:
+    """Denoise a ``(time, channels)`` block the way the pipeline does.
+
+    The wavelet convolution would smear a single NaN over a whole
+    series, so non-finite samples are first imputed with their column's
+    finite median.  A fully dead column has no median to impute from: it
+    is denoised as zeros and restored to NaN afterwards, so quality
+    gating -- not silent garbage -- decides its fate.  Blocks shorter than
+    4 rows get outlier rejection only.  The block keeps the denoiser's
+    working precision throughout.
+
+    Every step is per column, so a block that concatenates the columns of
+    many traces (or windows) of one length gives each of them exactly
+    what a block of its own columns would.
+    """
+    dtype = real_dtype(denoiser.precision)
+    columns = np.asarray(columns, dtype=dtype)
+    if columns.ndim != 2:
+        raise ValueError(
+            f"expected (time, channels) columns, got shape {columns.shape}"
+        )
+    if columns.size == 0:
+        raise ValueError("expected a non-empty signal")
+    finite = np.isfinite(columns)
+    dead = None
+    if not finite.all():
+        medians = finite_median(columns, axis=0)
+        fill = np.where(np.isfinite(medians), medians, 0.0).astype(dtype)
+        columns = np.where(finite, columns, fill[None, :])
+        dead = ~finite.any(axis=0)
+    if columns.shape[0] < 4:
+        cleaned, _ = remove_outliers(columns, denoiser.outlier_sigmas)
+    else:
+        cleaned = denoiser.denoise(columns)
+    if dead is not None and dead.any():
+        cleaned = np.where(dead[None, :], np.nan, cleaned)
+    return cleaned
 
 
 @dataclass
@@ -160,13 +226,8 @@ class SpatiallySelectiveDenoiser:
             (half the memory traffic on the batched hot path).
 
     Thread-safety: one denoiser instance is shared by every serving
-    worker thread (``WiMi.clone_view`` shares the amplitude processor),
-    so the reusable work/out coefficient buffers live in a
-    ``threading.local`` slot -- concurrent ``denoise`` calls never see
-    each other's scratch.  The buffers are only valid inside one
-    ``_filter_details`` call; nothing returned to callers aliases them
-    (``iswt`` consumes the extracted coefficients and returns a fresh
-    array).
+    worker thread (``WiMi.clone_view`` shares the amplitude processor);
+    ``denoise`` keeps all of its working buffers local to the call.
     """
 
     wavelet_name: str = "db2"
@@ -186,18 +247,6 @@ class SpatiallySelectiveDenoiser:
         self._dtype = real_dtype(self.precision)
         # Fail fast on unknown wavelet names.
         self._wavelet: Wavelet = get_wavelet(self.wavelet_name)
-        self._scratch = threading.local()
-
-    def __getstate__(self) -> dict:
-        # threading.local cannot be pickled; scratch buffers are
-        # per-process/thread anyway, so drop them and rebuild on load.
-        state = self.__dict__.copy()
-        state.pop("_scratch", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._scratch = threading.local()
 
     # ------------------------------------------------------------------
 
@@ -231,77 +280,69 @@ class SpatiallySelectiveDenoiser:
 
     # ------------------------------------------------------------------
 
-    def _workspace(
-        self, details: list[np.ndarray], slot: str
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-thread reusable ``(work, out)`` coefficient buffers.
-
-        ``work`` is refilled with copies of ``details``; ``out`` is
-        zeroed.  One buffer set is kept per ``slot`` (batched vs scalar
-        path) and reused while the coefficient shapes/dtypes repeat --
-        the common case for streaming windows and same-length traces --
-        so a warm call allocates nothing.  Ownership rule: the buffers
-        belong to this thread's *current* call only; they are
-        invalidated by the next call on the same thread.
-        """
-        key = tuple((d.shape, d.dtype.str) for d in details)
-        cached = getattr(self._scratch, slot, None)
-        if cached is not None and cached[0] == key:
-            _, work, out = cached
-            for buf, d in zip(work, details):
-                np.copyto(buf, d)
-            for buf in out:
-                buf.fill(0.0)
-        else:
-            work = [d.copy() for d in details]
-            out = [np.zeros_like(d) for d in details]
-            setattr(self._scratch, slot, (key, work, out))
-        return work, out
-
     def _filter_details(self, details: list[np.ndarray]) -> list[np.ndarray]:
         """Extract signal coefficients scale by scale.
 
         ``details[l]`` is correlated with ``details[l+1]``; the coarsest
         scale has no neighbour and pairs with itself (plain magnitude
         comparison), which reduces to keeping its strongest coefficients.
-
-        With 2-D coefficient arrays the extract-and-repeat loop runs on
-        all channels simultaneously; a per-channel active mask freezes
-        channels whose residual power has hit their own threshold (the
-        batched equivalent of the scalar ``break``).
+        2-D coefficient arrays run every channel through
+        :meth:`_extract_scale`.
         """
         if details[0].ndim == 1:
             return self._filter_details_1d(details)
-        work, out = self._workspace(details, "batched")
-        num_levels = len(details)
-        for l in range(num_levels):
-            neighbour_idx = l + 1 if l + 1 < num_levels else l
-            threshold = self._noise_threshold(details[l])
-            active = np.ones(details[l].shape[1], dtype=bool)
-            for _ in range(self.max_iterations):
-                power = np.sum(work[l] ** 2, axis=0)
-                active &= power > threshold
-                if not active.any():
-                    break
-                mask = self._signal_mask(work[l], work[neighbour_idx])
-                mask &= active[None, :]
-                active &= mask.any(axis=0)
-                if not active.any():
-                    break
-                out[l][mask] += work[l][mask]
-                work[l][mask] = 0.0
+        last = len(details) - 1
+        return [
+            self._extract_scale(
+                detail,
+                details[l + 1] if l < last else None,
+                self._noise_threshold(detail),
+            )
+            for l, detail in enumerate(details)
+        ]
+
+    def _extract_scale(
+        self,
+        detail: np.ndarray,
+        neighbour: np.ndarray | None,
+        threshold: np.ndarray,
+    ) -> np.ndarray:
+        """Extract-and-repeat on one ``(time, channels)`` scale.
+
+        Each pass works on the channels still active only: a channel
+        leaves the working set once its residual power is down to its
+        threshold or no coefficient of it is signal any more (the batched
+        equivalent of the scalar ``break``), so the passes shrink as
+        channels converge instead of running every channel until the
+        slowest one stops.  ``neighbour`` is the next-coarser scale (left
+        unchanged while this one is filtered), or None for the coarsest
+        scale, which pairs with its own residual.
+        """
+        work = detail.copy()
+        out = np.zeros_like(detail)
+        live = np.arange(detail.shape[1])
+        for _ in range(self.max_iterations):
+            w = work[:, live]
+            keep = np.sum(w ** 2, axis=0) > threshold[live]
+            live, w = live[keep], w[:, keep]
+            if not live.size:
+                break
+            pair = w if neighbour is None else neighbour[:, live]
+            mask = self._signal_mask(w, pair)
+            keep = mask.any(axis=0)
+            live, w, mask = live[keep], w[:, keep], mask[:, keep]
+            if not live.size:
+                break
+            out[:, live] += np.where(mask, w, 0.0)
+            work[:, live] = np.where(mask, 0.0, w)
         return out
 
     def _filter_details_1d(
         self, details: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """Scalar (1-D) extract-and-repeat loop.
-
-        Shares the per-thread workspace so repeated same-length calls
-        (the per-column reference path iterates one call per channel)
-        stop re-allocating their work/out lists every call.
-        """
-        work, out = self._workspace(details, "scalar")
+        """Scalar (1-D) extract-and-repeat loop."""
+        work = [d.copy() for d in details]
+        out = [np.zeros_like(d) for d in details]
         num_levels = len(details)
         for l in range(num_levels):
             neighbour_idx = l + 1 if l + 1 < num_levels else l

@@ -22,43 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.feature import FeatureMeasurement
+from repro.csi.model import FINGERPRINT_ATTR, hash_array, trace_fingerprint
 from repro.csi.quality import TraceQualityReport
-
-#: Attribute used to pin a computed fingerprint on traces/sessions.
-_FINGERPRINT_ATTR = "_engine_fingerprint"
-
-
-def _hash_array(h: "hashlib._Hash", array: np.ndarray) -> None:
-    array = np.ascontiguousarray(array)
-    h.update(str(array.shape).encode())
-    h.update(str(array.dtype).encode())
-    h.update(array.tobytes())
-
-
-def trace_fingerprint(trace) -> str:
-    """Content hash of one :class:`repro.csi.model.CsiTrace`.
-
-    Hashes the dense complex matrix, so two traces with identical CSI get
-    the same fingerprint regardless of labels or timestamps.  The result
-    is pinned on the trace (traces are de-facto immutable after capture),
-    so repeated calls are O(1).
-    """
-    cached = getattr(trace, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=16)
-    _hash_array(h, trace.matrix())
-    fingerprint = h.hexdigest()
-    try:
-        object.__setattr__(trace, _FINGERPRINT_ATTR, fingerprint)
-    except (AttributeError, TypeError):
-        pass  # exotic trace type without a __dict__; recompute next time
-    return fingerprint
-
 
 def session_fingerprint(session) -> str:
     """Content hash of a paired capture session (baseline + target)."""
-    cached = getattr(session, _FINGERPRINT_ATTR, None)
+    cached = getattr(session, FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
     h = hashlib.blake2b(digest_size=16)
@@ -66,7 +35,7 @@ def session_fingerprint(session) -> str:
     h.update(trace_fingerprint(session.target).encode())
     fingerprint = h.hexdigest()
     try:
-        object.__setattr__(session, _FINGERPRINT_ATTR, fingerprint)
+        object.__setattr__(session, FINGERPRINT_ATTR, fingerprint)
     except (AttributeError, TypeError):
         pass
     return fingerprint
@@ -96,16 +65,16 @@ def features_fingerprint(features) -> str:
     """
     h = hashlib.blake2b(digest_size=16)
     for m in features.measurements:
-        _hash_array(h, np.asarray(m.omegas, dtype=float))
+        hash_array(h, np.asarray(m.omegas, dtype=float))
         h.update(str(m.pair).encode())
         h.update(str(m.gamma).encode())
         h.update(str(tuple(m.subcarriers)).encode())
         h.update(repr(float(m.omega_coarse)).encode())
         h.update(b"1" if m.include_coarse else b"0")
         if m.theta_aligned is not None:
-            _hash_array(h, np.asarray(m.theta_aligned, dtype=float))
+            hash_array(h, np.asarray(m.theta_aligned, dtype=float))
         if m.neg_log_psi is not None:
-            _hash_array(h, np.asarray(m.neg_log_psi, dtype=float))
+            hash_array(h, np.asarray(m.neg_log_psi, dtype=float))
     return h.hexdigest()
 
 
@@ -117,7 +86,7 @@ def array_fingerprint(array: np.ndarray) -> str:
     fingerprint could be pinned on.
     """
     h = hashlib.blake2b(digest_size=16)
-    _hash_array(h, np.asarray(array))
+    hash_array(h, np.asarray(array))
     return h.hexdigest()
 
 

@@ -2,8 +2,8 @@
 
 :class:`StageCache` is the engine's cache: a memory LRU keyed by
 ``(stage name, content-hash key)``, optionally backed by a durable disk
-tier (any object with ``get(stage, key) -> artifact | None`` and
-``put(stage, key, artifact)``, in practice
+tier (any object with ``get(stage, key) -> artifact | None``,
+``put(stage, key, artifact)`` and ``(stage, key) in store``, in practice
 :class:`repro.persist.ArtifactStore`).  Lookups fall through
 memory -> disk -> compute; disk hits are promoted into the memory LRU,
 and computed artifacts are written through to both tiers.  Per-stage
@@ -101,8 +101,9 @@ class StageCache:
             cover realistic experiment sweeps.
         disk_store: Optional durable tier consulted on memory misses
             and written through on computes.  Must expose
-            ``get(stage, key)`` returning an artifact or None and
-            ``put(stage, key, artifact)``; read failures must surface
+            ``get(stage, key)`` returning an artifact or None,
+            ``put(stage, key, artifact)`` and an existence test
+            ``(stage, key) in disk_store``; read failures must surface
             as None (a miss), never an exception.
     """
 
@@ -142,6 +143,16 @@ class StageCache:
         with self._lock:
             stats.misses += 1
         return None, TIER_COMPUTE
+
+    def holds(self, stage: str, key: str) -> bool:
+        """Whether either tier has ``(stage, key)``, without loading it.
+
+        Records no statistics: a batch uses it to decide what to compute
+        before resolving every key through :meth:`resolve_tier`.
+        """
+        if (stage, key) in self:
+            return True
+        return self.disk_store is not None and (stage, key) in self.disk_store
 
     def lookup(self, stage: str, key: str) -> tuple[Any, bool]:
         """``(artifact, True)`` on any-tier hit, ``(None, False)`` on a miss."""

@@ -18,6 +18,7 @@ experiment runner's config sweeps cheap.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.subcarrier import SubcarrierSelector
 from repro.csi.collector import CaptureSession
 from repro.csi.model import CsiTrace
 from repro.csi.quality import TraceQualityReport, assess_trace
-from repro.dsp.streaming import denoise_window
+from repro.dsp.wavelet_denoise import denoise_columns
 from repro.engine.artifacts import (
     ClassificationArtifact,
     DenoisedTraceArtifact,
@@ -182,15 +183,51 @@ class PipelineEngine:
 
     def amplitude_denoise(self, trace: CsiTrace) -> DenoisedTraceArtifact:
         """Denoised amplitude cube of one trace (the hot stage)."""
-        key = make_key(
-            trace_fingerprint(trace), self._config_key(AMPLITUDE_DENOISE)
-        )
+        return self.amplitude_denoise_batch([trace])[0]
 
-        def compute() -> DenoisedTraceArtifact:
-            cleaned = self.extractor.amplitude.compute_clean_amplitudes(trace)
-            return DenoisedTraceArtifact(key=key, amplitudes=cleaned)
+    def amplitude_denoise_batch(
+        self, traces: list[CsiTrace]
+    ) -> list[DenoisedTraceArtifact]:
+        """:meth:`amplitude_denoise` of many traces in one stacked pass.
 
-        return self._resolve(AMPLITUDE_DENOISE, key, compute)
+        The traces that neither cache tier holds are denoised together,
+        once per distinct key, after a single deadline check
+        (:meth:`~repro.core.amplitude.AmplitudeProcessor.compute_clean_amplitudes_many`:
+        one denoiser call per packet count).  Every trace then resolves
+        under its usual content key, so tier counts, stage events and
+        disk write-through are exactly those of per-trace calls: a
+        trace's first resolution is the compute, a repeat is a memory
+        hit, and a disk-resident trace is read, never recomputed.
+        """
+        config_key = self._config_key(AMPLITUDE_DENOISE)
+        keys = [make_key(trace_fingerprint(t), config_key) for t in traces]
+        missing: dict[str, CsiTrace] = {}
+        for key, trace in zip(keys, traces):
+            if key not in missing and not self.cache.holds(
+                AMPLITUDE_DENOISE.name, key
+            ):
+                missing[key] = trace
+        cubes: dict[str, np.ndarray] = {}
+        if missing:
+            check_deadline(AMPLITUDE_DENOISE.name)
+            cubes = dict(zip(
+                missing,
+                self.extractor.amplitude.compute_clean_amplitudes_many(
+                    list(missing.values())
+                ),
+            ))
+
+        def compute(key: str, trace: CsiTrace) -> DenoisedTraceArtifact:
+            cube = cubes.get(key)
+            if cube is None:
+                # Evicted or quarantined since the check above.
+                cube = self.extractor.amplitude.compute_clean_amplitudes(trace)
+            return DenoisedTraceArtifact(key=key, amplitudes=cube)
+
+        return [
+            self._resolve(AMPLITUDE_DENOISE, key, partial(compute, key, trace))
+            for key, trace in zip(keys, traces)
+        ]
 
     def stream_window_denoise(
         self, rows: np.ndarray, start: int
@@ -214,7 +251,7 @@ class PipelineEngine:
 
         def compute() -> StreamWindowArtifact:
             if self.config.denoise_amplitude:
-                cleaned = denoise_window(
+                cleaned = denoise_columns(
                     rows, self.extractor.amplitude.denoiser
                 )
             else:

@@ -10,9 +10,10 @@ speedup the vectorised kernels deliver.
 :func:`check` verifies on every run that the two implementations still
 agree numerically, to DESIGN.md §9's scalar-reference tolerance
 (:data:`EQUIVALENCE_TOLERANCE`): denoise/simulate/extract differences,
-SMO prediction agreement, and served labels equal to the sequential
-ones.  The baseline gate fails a run whose ``new_s`` exceeds twice the
-committed smoke/full number.
+SMO prediction agreement, served labels equal to the sequential ones,
+and one denoiser call per distinct packet count in the cold
+``extract_batch`` (the stacked pass).  The baseline gate fails a run
+whose ``new_s`` exceeds twice the committed smoke/full number.
 
 Latency percentiles and the batching/cache dashboard of the serving
 benchmark come from the same :mod:`repro.serve.metrics` instruments the
@@ -111,6 +112,23 @@ def _scalar_reference_kernels():
         SpatiallySelectiveDenoiser.denoise = orig_denoise
 
 
+@contextmanager
+def _counted_denoiser_calls():
+    """Count ``SpatiallySelectiveDenoiser.denoise`` calls in the block."""
+    calls = [0]
+    original = SpatiallySelectiveDenoiser.denoise
+
+    def counted(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    SpatiallySelectiveDenoiser.denoise = counted
+    try:
+        yield calls
+    finally:
+        SpatiallySelectiveDenoiser.denoise = original
+
+
 # ----------------------------------------------------------------------
 # Individual benchmarks
 # ----------------------------------------------------------------------
@@ -187,7 +205,11 @@ def _extract_workload(sizes: dict):
 
 
 def bench_extract_batch(sizes: dict) -> dict:
-    """Batched extraction vs per-session extraction on scalar kernels."""
+    """Batched extraction vs per-session extraction on scalar kernels.
+
+    Also records how many denoiser calls the cold batch made: one per
+    distinct packet count when the stacked pass works.
+    """
     wimi, test = _extract_workload(sizes)
 
     def run_new():
@@ -198,7 +220,8 @@ def bench_extract_batch(sizes: dict) -> dict:
         with _scalar_reference_kernels():
             return [view.extract(s) for s in test]
 
-    new_features = run_new()
+    with _counted_denoiser_calls() as calls:
+        new_features = run_new()
     ref_features = run_reference()
     max_diff = max(
         abs(a.omega_mean - b.omega_mean)
@@ -212,6 +235,10 @@ def bench_extract_batch(sizes: dict) -> dict:
         "speedup": baseline_s / new_s,
         "max_omega_diff": float(max_diff),
         "sessions": len(test),
+        "denoiser_calls": calls[0],
+        "packet_counts": len(
+            {len(t) for s in test for t in (s.baseline, s.target)}
+        ),
     }
 
 
@@ -361,6 +388,11 @@ def check(results: dict, mode: str) -> list[str]:
          "max_rel_diff {max_rel_diff:.3g} " + beyond),
         ("extract_batch", lambda e: e["max_omega_diff"] <= tol,
          "max_omega_diff {max_omega_diff:.3g} " + beyond),
+        # Reports older than the stacked denoiser pass lack the count.
+        ("extract_batch",
+         lambda e: e.get("denoiser_calls", 0) <= e.get("packet_counts", 1),
+         "{denoiser_calls} denoiser calls for a batch of "
+         "{packet_counts} packet count(s); the stacked pass needs one each"),
         ("train", lambda e: e["train_agreement"] >= 1.0,
          "SMO agrees with the reference on {train_agreement:.1%}"),
         ("serve", lambda e: e["predictions_identical"],

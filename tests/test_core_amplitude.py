@@ -1,5 +1,7 @@
 """Tests for the Amplitude Denoising Module."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.channel.geometry import CylinderTarget, LinkGeometry
 from repro.channel.materials import default_catalog
 from repro.core.amplitude import AmplitudeProcessor
 from repro.csi.collector import DataCollector, SessionConfig
+from repro.csi.model import CsiTrace
 from repro.csi.simulator import SimulationScene
 
 
@@ -39,6 +42,25 @@ class TestCleanAmplitudes:
         first = amp.clean_amplitudes(trace)
         second = amp.clean_amplitudes(trace)
         assert first is second
+
+    def test_memo_not_fooled_by_reused_object_ids(self):
+        # CPython hands the id of a freed trace to the next object of the
+        # same size; a memo keyed by id() would serve a fresh trace the
+        # amplitudes of a dead one.
+        amp = AmplitudeProcessor()
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            shape = (6, 4, 3)
+            trace = CsiTrace.from_matrix(
+                (1.0 + 0.1 * rng.standard_normal(shape))
+                * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+            )
+            assert np.array_equal(
+                amp.clean_amplitudes(trace),
+                amp.compute_clean_amplitudes(trace),
+            )
+            del trace
+            gc.collect()
 
     def test_positive_output(self, trace):
         cleaned = AmplitudeProcessor().clean_amplitudes(trace)

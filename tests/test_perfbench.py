@@ -197,6 +197,19 @@ class TestEquivalenceCheck:
         assert len(failures) == 1
         assert failures[0].startswith(case)
 
+    def test_extra_denoiser_calls_fail(self):
+        results = copy.deepcopy(
+            bench.load_report(ROOT / "BENCH_PR4.json")["suites"]["smoke"]
+        )
+        # Recorded before the stacked pass: no count, nothing to gate.
+        assert SUITE.check(results, "smoke") == []
+        results["extract_batch"].update(denoiser_calls=1, packet_counts=1)
+        assert SUITE.check(results, "smoke") == []
+        results["extract_batch"]["denoiser_calls"] = 2
+        failures = SUITE.check(results, "smoke")
+        assert len(failures) == 1
+        assert "2 denoiser calls" in failures[0]
+
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode must be one of"):

@@ -9,7 +9,6 @@ codec dtype preservation in ``test_persist_serialize.py``.
 """
 
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,25 +155,6 @@ class TestDenoiserPrecision:
         scale = float(np.max(np.abs(out64)))
         assert np.max(np.abs(out32 - out64)) / scale < 1e-3
 
-    def test_warm_scalar_path_allocates_less_than_cold(self):
-        # The per-thread workspace fix: repeated same-shape scalar calls
-        # reuse the work/out coefficient lists instead of reallocating
-        # them every call (the per-column reference path makes one call
-        # per channel, all same-shape).
-        x = self._trace()[:, 0]
-        denoiser = SpatiallySelectiveDenoiser()
-
-        def peak_of_call():
-            tracemalloc.start()
-            denoiser._reference_denoise(x)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return peak
-
-        cold = peak_of_call()  # first call builds the workspace
-        warm = min(peak_of_call() for _ in range(3))
-        assert warm < cold
-
     def test_scalar_path_matches_without_workspace_reuse_artifacts(self):
         # Back-to-back warm calls must not leak state between calls.
         x = self._trace()[:, 0]
@@ -208,7 +188,7 @@ class TestDenoiserPrecision:
 
         x = self._trace()
         denoiser = SpatiallySelectiveDenoiser(precision="float32")
-        denoiser.denoise(x.astype(np.float32))  # warm the workspace
+        denoiser.denoise(x.astype(np.float32))
         clone = pickle.loads(pickle.dumps(denoiser))
         assert np.array_equal(
             clone.denoise(x.astype(np.float32)),
